@@ -1,10 +1,14 @@
 GO ?= go
 
-.PHONY: check build test vet race replay-race bench bench-smoke fuzz-smoke chaos-smoke service-smoke dist-chaos-smoke bench-service bench-dispatch paper
+.PHONY: check fmt build test vet race ring-stress replay-race bench bench-smoke fuzz-smoke chaos-smoke service-smoke dist-chaos-smoke bench-service bench-dispatch paper
 
-# The tier-1 gate plus the concurrency-sensitive packages under the race
-# detector. Run before committing.
-check: build vet test race
+# The tier-1 gate plus formatting and the concurrency-sensitive packages
+# under the race detector. Run before committing.
+check: fmt build vet test race
+
+# Fail when any Go file is not gofmt-clean (gofmt -l prints its name).
+fmt:
+	test -z "$$(gofmt -l .)"
 
 build:
 	$(GO) build ./...
@@ -29,6 +33,12 @@ test:
 race:
 	$(GO) vet ./...
 	$(GO) test -race . ./internal/events/... ./internal/core ./internal/vm ./internal/experiments/... ./internal/trace/... ./internal/service ./internal/dispatch ./probe
+
+# The ring's cursor protocol under the race detector, repeated: barrier
+# drains racing consumer claims must deliver every record exactly once,
+# in order, and a lost interleaving shows only in some runs.
+ring-stress:
+	$(GO) test -race -count=10 -run ExactlyOnce ./internal/events/pipeline
 
 # The parallel-replay surface under the race detector, repeated: worker
 # fan-out, chunk merging, cancellation, and the fleet differ are exactly

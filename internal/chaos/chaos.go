@@ -79,7 +79,7 @@ type Result struct {
 	Workload string
 	// Faults names the schedule's armed fault points (plus "watchdog" for
 	// an injected watchdog interrupt); empty for a clean schedule.
-	Faults []string
+	Faults  []string
 	Outcome Outcome
 	// Class is the fault class of the typed error for Failed outcomes.
 	Class faultinject.FaultClass

@@ -38,10 +38,10 @@ func benchTransport(b *testing.B, cfg Config, consumers int) {
 	}
 }
 
-func BenchmarkPublishConsume1(b *testing.B)  { benchTransport(b, Config{}, 1) }
-func BenchmarkPublishConsume3(b *testing.B)  { benchTransport(b, Config{}, 3) }
-func BenchmarkSyncFanout1(b *testing.B)      { benchTransport(b, Config{Synchronous: true}, 1) }
-func BenchmarkSyncFanout3(b *testing.B)      { benchTransport(b, Config{Synchronous: true}, 3) }
+func BenchmarkPublishConsume1(b *testing.B) { benchTransport(b, Config{}, 1) }
+func BenchmarkPublishConsume3(b *testing.B) { benchTransport(b, Config{}, 3) }
+func BenchmarkSyncFanout1(b *testing.B)     { benchTransport(b, Config{Synchronous: true}, 1) }
+func BenchmarkSyncFanout3(b *testing.B)     { benchTransport(b, Config{Synchronous: true}, 3) }
 func BenchmarkPublishTinyBuffer(b *testing.B) {
 	benchTransport(b, Config{BufferSize: 64}, 2)
 }

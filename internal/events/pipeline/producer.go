@@ -24,9 +24,13 @@ type Producer struct {
 	// minSeen caches the slowest consumer cursor from the last space check.
 	minSeen int64
 	// clock, if bound, stamps each record with the VM instruction counter.
-	clock       *uint64
-	batch       int64
-	sync        bool
+	clock *uint64
+	batch int64
+	sync  bool
+	// slot is the record a synchronous producer is dispatching. Consumers
+	// get a pointer into the producer rather than to emit's argument, so
+	// no record escapes to the heap.
+	slot        Record
 	heapReaders []*Consumer
 	// touchC is the consumer that answers SiteTouch calls (the first
 	// path-aware decoded consumer); bound by Transport.Start.
@@ -51,8 +55,9 @@ func (p *Producer) emit(r Record) {
 		r.Clock = *p.clock
 	}
 	if p.sync {
+		p.slot = r
 		for _, c := range p.t.consumers {
-			c.dispatch(&r)
+			c.dispatch(&p.slot)
 		}
 		return
 	}

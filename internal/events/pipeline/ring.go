@@ -89,8 +89,16 @@ type Consumer struct {
 	_     [64]byte
 }
 
-// New creates a Transport. Add consumers before Start.
+// New creates a Transport. Add consumers before Start. A Synchronous
+// transport builds no ring: its producer dispatches each record inline
+// from a slot of its own.
 func New(cfg Config) *Transport {
+	t := &Transport{cfg: cfg}
+	t.prod.t = t
+	t.prod.sync = cfg.Synchronous
+	if cfg.Synchronous {
+		return t
+	}
 	if cfg.BufferSize <= 0 {
 		cfg.BufferSize = 4096
 	}
@@ -107,10 +115,10 @@ func New(cfg Config) *Transport {
 	if cfg.Batch < 1 {
 		cfg.Batch = 1
 	}
-	t := &Transport{cfg: cfg, mask: int64(size - 1), buf: make([]Record, size)}
-	t.prod.t = t
+	t.cfg = cfg
+	t.mask = int64(size - 1)
+	t.buf = make([]Record, size)
 	t.prod.batch = int64(cfg.Batch)
-	t.prod.sync = cfg.Synchronous
 	return t
 }
 
@@ -255,8 +263,13 @@ func (c *Consumer) run() {
 			c.fastForward()
 			return
 		}
-		pub := c.t.published.Load()
+		// Load pos before published. published >= pos always holds, and
+		// a Barrier drain landing between the two loads only advances pos,
+		// so this order keeps consumed <= pub. The reverse order lets a
+		// drain carry pos past a stale pub: the CAS below would then move
+		// claim backwards and the Store rewind pos, re-dispatching records.
 		consumed := c.pos.Load()
+		pub := c.t.published.Load()
 		if pub == consumed {
 			if c.t.closed.Load() {
 				// Re-check after observing closed: the final flush

@@ -162,6 +162,102 @@ func TestBarrierFencesHeapWrites(t *testing.T) {
 	}
 }
 
+// TestExactlyOnceUnderBarriers drives a heap-reading consumer through
+// barriers at several cadences and ring sizes, so the producer's inline
+// drains keep racing the consumer goroutine's claims. Every record must
+// arrive exactly once and in order: a consumer that loaded the published
+// count before its own cursor could see a drain overtake it, rewind its
+// cursor and deliver the drained records a second time.
+func TestExactlyOnceUnderBarriers(t *testing.T) {
+	const n = 200_000
+	for _, bufSize := range []int{8, 64, 4096} {
+		for _, every := range []int{1, 4, 7} {
+			tp := New(Config{BufferSize: bufSize})
+			l := &seqListener{}
+			tp.Add("heap", l, ConsumerOptions{HeapReader: true})
+			pr := tp.Producer()
+			tp.Start()
+			for i := 0; i < n; i++ {
+				pr.Instr(0, i)
+				if (i+1)%every == 0 {
+					pr.Barrier()
+				}
+			}
+			if err := tp.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if len(l.got) != n {
+				t.Fatalf("buf=%d barrier every %d: delivered %d records, want %d", bufSize, every, len(l.got), n)
+			}
+			for i, v := range l.got {
+				if v != int64(i) {
+					t.Fatalf("buf=%d barrier every %d: record %d = %d, want %d", bufSize, every, i, v, i)
+				}
+			}
+		}
+	}
+}
+
+// fakeEntity is a heap entity with no successors.
+type fakeEntity struct{ id uint64 }
+
+func (e *fakeEntity) EntityID() uint64                    { return e.id }
+func (e *fakeEntity) TypeName() string                    { return "Node" }
+func (e *fakeEntity) ClassID() int                        { return 1 }
+func (e *fakeEntity) IsArray() bool                       { return false }
+func (e *fakeEntity) Capacity() int                       { return 0 }
+func (e *fakeEntity) ForEachRef(func(int, events.Entity)) {}
+func (e *fakeEntity) ForEachElemKey(func(events.ElemKey)) {}
+
+// countingTap is a raw record consumer, as the trace writer is.
+type countingTap struct {
+	events.NopListener
+	n int
+}
+
+func (t *countingTap) Record(*Record) { t.n++ }
+
+// TestSynchronousDispatchAllocatesNothing pins the synchronous transport's
+// hot path: a record is dispatched from the producer's own slot, so no
+// event allocates, whether it reaches a decoded listener or a raw tap.
+func TestSynchronousDispatchAllocatesNothing(t *testing.T) {
+	var clock uint64
+	tp := New(Config{Synchronous: true})
+	l := &countingListener{}
+	tap := &countingTap{}
+	tp.Add("core", l, ConsumerOptions{HeapReader: true})
+	tp.Add("trace", tap, ConsumerOptions{})
+	pr := tp.Producer()
+	pr.BindClock(&clock)
+	tp.Start()
+	obj, arr := &fakeEntity{id: 1}, &fakeEntity{id: 2}
+	const perRun = 11 // records; the Barrier publishes none
+	allocs := testing.AllocsPerRun(1000, func() {
+		clock++
+		pr.LoopEntry(1)
+		pr.LoopBack(1)
+		pr.MethodEntry(2)
+		pr.Alloc(obj, 1)
+		pr.AllocEntity(obj, events.ElemModeRef)
+		pr.FieldGet(obj, 3)
+		pr.Barrier()
+		pr.FieldPut(obj, 3, arr)
+		pr.ArrayLoad(arr)
+		pr.ArrayStore(arr, obj)
+		pr.MethodExit(2)
+		pr.LoopExit(1)
+	})
+	if err := tp.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if allocs != 0 {
+		t.Errorf("synchronous dispatch: %v allocations per %d events, want 0", allocs, perRun)
+	}
+	if want := 1001 * perRun; tap.n != want || l.n != 1001 {
+		t.Errorf("tap saw %d records, listener %d back edges; want %d and %d", tap.n, l.n, want, 1001)
+	}
+}
+
 // panicker panics on the third event.
 type panicker struct {
 	events.NopListener

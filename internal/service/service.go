@@ -206,8 +206,8 @@ type Event struct {
 	Status     JobStatus `json:"status,omitempty"`
 	// Instructions approximates executed instructions so far (progress
 	// events; derived from VM watchdog polls).
-	Instructions uint64 `json:"instructions,omitempty"`
-	ElapsedMs    int64  `json:"elapsed_ms,omitempty"`
+	Instructions uint64   `json:"instructions,omitempty"`
+	ElapsedMs    int64    `json:"elapsed_ms,omitempty"`
 	Result       *JobView `json:"result,omitempty"`
 }
 

@@ -85,7 +85,7 @@ func readIndex(f *os.File) (*Index, error) {
 	if _, err := f.ReadAt(region, int64(indexOff)); err != nil {
 		return nil, &IOError{Op: "read", Off: int64(indexOff), Err: err}
 	}
-	payload, _, err := readFrame(region, 0, false)
+	payload, _, err := readFrame(region, 0, nil)
 	if err != nil {
 		return nil, frameErr(int64(indexOff), err)
 	}
@@ -188,7 +188,7 @@ func VerifyFileRange(path string, lo, hi int) (*RangeCheck, error) {
 	var records uint64
 	for i := lo; i < hi; i++ {
 		off := ix.FrameOff[i] - base
-		payload, next, err := readFrame(region, off, false)
+		payload, next, err := readFrame(region, off, nil)
 		if err != nil {
 			return nil, frameErr(ix.FrameOff[i], err)
 		}

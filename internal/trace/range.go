@@ -27,9 +27,10 @@ func (r *Reader) Checkpoints() []int {
 	return append([]int(nil), r.ckpts...)
 }
 
-// framePayload reads and (if the trace is compressed) inflates frame f.
-func (r *Reader) framePayload(f int) ([]byte, error) {
-	payload, _, err := readFrame(r.data, r.frameOff[f], r.flags&FlagCompress != 0)
+// framePayload reads frame f and, if the trace is compressed, inflates it
+// into d's buffer.
+func (r *Reader) framePayload(d *frameDecoder, f int) ([]byte, error) {
+	payload, _, err := readFrame(r.data, r.frameOff[f], d.z)
 	return payload, err
 }
 
@@ -50,6 +51,8 @@ func (r *Reader) ReplayRange(ctx context.Context, lo, hi int, dispatch func(*pip
 		return fmt.Errorf("trace: frame range [%d,%d) out of bounds (trace has %d frames)", lo, hi, n)
 	}
 	heap := shadowHeap{}
+	d := r.newDecoder()
+	defer d.release()
 	start := 0
 	// The last checkpoint frame c ≤ lo holds the heap state after every
 	// record of frames [0, c) — checkpoint frames themselves carry none.
@@ -61,7 +64,7 @@ func (r *Reader) ReplayRange(ctx context.Context, lo, hi int, dispatch func(*pip
 		best = c
 	}
 	if best >= 0 {
-		payload, err := r.framePayload(best)
+		payload, err := r.framePayload(d, best)
 		if err != nil {
 			return err
 		}
@@ -78,18 +81,18 @@ func (r *Reader) ReplayRange(ctx context.Context, lo, hi int, dispatch func(*pip
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		payload, err := r.framePayload(f)
+		payload, err := r.framePayload(d, f)
 		if err != nil {
 			return err
 		}
 		if len(payload) > 0 && payload[0] == tagCheckpoint {
 			continue
 		}
-		d := dispatch
+		to := dispatch
 		if f < lo {
-			d = discard
+			to = discard
 		}
-		if err := replayFrame(payload, heap, d); err != nil {
+		if err := d.replay(payload, heap, to); err != nil {
 			return frameErr(r.frameOff[f], err)
 		}
 	}
@@ -109,59 +112,14 @@ type chunkResult struct {
 	err    error
 }
 
-// parseFrame decodes one frame payload into records without a heap,
-// returning the records parsed before any error.
-func parseFrame(b []byte) ([]pipeline.Record, error) {
-	var recs []pipeline.Record
-	var strs []string
-	var clock uint64
-	pos := 0
-	for pos < len(b) {
-		tag, pos2, err := readByte(b, pos)
-		if err != nil {
-			return recs, err
-		}
-		pos = pos2
-		if tag == tagStrDef {
-			n, pos2, err := readUint(b, pos, maxFramePayload, "string length")
-			if err != nil {
-				return recs, err
-			}
-			pos = pos2
-			if pos+n > len(b) {
-				return recs, corruptf("truncated string at %d", pos)
-			}
-			strs = append(strs, string(b[pos:pos+n]))
-			pos += n
-			continue
-		}
-		op := pipeline.Op(tag)
-		if op == pipeline.OpNone || op > pipeline.OpJrnlStore {
-			return recs, corruptf("unknown event tag %#x at %d", tag, pos-1)
-		}
-		delta, pos2, err := readUvarint(b, pos)
-		if err != nil {
-			return recs, err
-		}
-		pos = pos2
-		clock += delta
-		rec := pipeline.Record{Op: op, Clock: clock}
-		if pos, err = parseBody(b, pos, &rec, strs); err != nil {
-			return recs, err
-		}
-		recs = append(recs, rec)
-	}
-	return recs, nil
-}
-
 // parseChunk parses frames [lo, hi), skipping checkpoint frames. It runs to
 // completion once claimed — a chunk is small, bounded work, and finishing it
 // keeps the merged stream's error prefix deterministic: cancellation acts at
 // the feeder (no new chunks) and the merger, never mid-chunk.
-func (r *Reader) parseChunk(lo, hi int) chunkResult {
+func (r *Reader) parseChunk(d *frameDecoder, lo, hi int, free chan []pipeline.Record) chunkResult {
 	var out chunkResult
 	for f := lo; f < hi; f++ {
-		payload, err := r.framePayload(f)
+		payload, err := r.framePayload(d, f)
 		if err != nil {
 			out.err = err
 			return out
@@ -169,7 +127,12 @@ func (r *Reader) parseChunk(lo, hi int) chunkResult {
 		if len(payload) > 0 && payload[0] == tagCheckpoint {
 			continue
 		}
-		recs, err := parseFrame(payload)
+		var buf []pipeline.Record
+		select {
+		case buf = <-free:
+		default:
+		}
+		recs, err := d.parse(payload, buf)
 		out.frames = append(out.frames, parsedFrame{off: r.frameOff[f], recs: recs})
 		if err != nil {
 			out.err = frameErr(r.frameOff[f], err)
@@ -218,12 +181,19 @@ func (r *Reader) ReplayParallel(ctx context.Context, workers int, dispatch func(
 	}
 	jobs := make(chan int)
 	tokens := make(chan struct{}, 2*workers)
+	// The merger hands each dispatched frame's record buffer back to the
+	// workers, so a long replay parses into a few buffers instead of one
+	// per frame. Sized to the frames of the chunks in flight; a buffer
+	// beyond that is dropped.
+	free := make(chan []pipeline.Record, 2*workers*chunkFrames)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			d := r.newDecoder()
+			defer d.release()
 			for i := range jobs {
-				res := r.parseChunk(i*chunkFrames, min((i+1)*chunkFrames, n))
+				res := r.parseChunk(d, i*chunkFrames, min((i+1)*chunkFrames, n), free)
 				results[i] <- res
 				if res.err != nil {
 					cancel(res.err)
@@ -284,6 +254,10 @@ func (r *Reader) ReplayParallel(ctx context.Context, workers int, dispatch func(
 					return frameErr(pf.off, err)
 				}
 				dispatch(rec)
+			}
+			select {
+			case free <- pf.recs[:0]:
+			default:
 			}
 		}
 		if res.err != nil {

@@ -9,6 +9,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"sync"
 
 	"algoprof/internal/events"
 	"algoprof/internal/events/pipeline"
@@ -96,7 +97,7 @@ func newStrictReader(data []byte) (*Reader, error) {
 	r := &Reader{data: data, flags: flags, dataEnd: int64(indexOff)}
 	r.stats.Version = version
 	r.stats.Compressed = flags&FlagCompress != 0
-	idx, _, err := readFrame(data, int64(indexOff), false)
+	idx, _, err := readFrame(data, int64(indexOff), nil)
 	if err != nil {
 		return nil, err
 	}
@@ -138,9 +139,9 @@ func recoverReader(data []byte) (*Reader, error) {
 	var offs []int64
 	off := int64(headerSize)
 	for off < int64(len(data)) {
-		// Envelope scan only (compressed=false skips inflation): CRC
+		// Envelope scan only (a nil inflater skips inflation): CRC
 		// validity is what certifies the frame boundary.
-		_, next, err := readFrame(data, off, false)
+		_, next, err := readFrame(data, off, nil)
 		if err != nil {
 			break
 		}
@@ -154,7 +155,7 @@ func recoverReader(data []byte) (*Reader, error) {
 	if n := len(offs); n > 0 {
 		// A trace that died between index and trailer: the last frame
 		// parses as an index consistent with the frames before it.
-		if idx, _, err := readFrame(data, offs[n-1], false); err == nil {
+		if idx, _, err := readFrame(data, offs[n-1], nil); err == nil {
 			probe := &Reader{data: data, flags: flags, dataEnd: offs[n-1]}
 			probe.stats = r.stats
 			if probe.parseIndex(idx) == nil && sameOffsets(probe.frameOff, offs[:n-1]) {
@@ -298,9 +299,9 @@ func (r *Reader) parseIndex(idx []byte) error {
 func (r *Reader) Stats() Stats { return r.stats }
 
 // readFrame decodes the frame envelope at off: payload length, CRC check,
-// optional decompression. It returns the payload and the offset just past
-// the frame.
-func readFrame(data []byte, off int64, compressed bool) ([]byte, int64, error) {
+// and, when z is non-nil, decompression into z's buffer. It returns the
+// payload and the offset just past the frame.
+func readFrame(data []byte, off int64, z *inflater) ([]byte, int64, error) {
 	if off < 0 || off >= int64(len(data)) {
 		return nil, off, corruptAt(off, "frame offset out of range")
 	}
@@ -322,9 +323,8 @@ func readFrame(data []byte, off int64, compressed bool) ([]byte, int64, error) {
 		return nil, off, corruptAt(off, "frame CRC mismatch")
 	}
 	end := pos + int64(plen)
-	if compressed {
-		fr := flate.NewReader(bytes.NewReader(payload))
-		raw, err := io.ReadAll(io.LimitReader(fr, maxFramePayload+1))
+	if z != nil {
+		raw, err := z.inflate(payload)
 		if err != nil {
 			return nil, off, corruptAt(off, "frame inflate: %v", err)
 		}
@@ -336,12 +336,74 @@ func readFrame(data []byte, off int64, compressed bool) ([]byte, int64, error) {
 	return payload, end, nil
 }
 
+// inflater decompresses frame payloads through one flate reader, Reset
+// onto each payload, into one buffer reused from frame to frame. A payload
+// it returns is valid until its next inflate.
+type inflater struct {
+	src bytes.Reader
+	fr  io.ReadCloser // a flate.Resetter
+	lim io.LimitedReader
+	out bytes.Buffer
+}
+
+// inflaters recycles inflaters across replays: each carries a 32 KiB
+// window, its Huffman tables and an output buffer the size of a frame.
+var inflaters = sync.Pool{New: func() any { return new(inflater) }}
+
+// inflate decompresses one payload. It stops after maxFramePayload+1
+// bytes, so the caller can refuse an oversized frame.
+func (z *inflater) inflate(payload []byte) ([]byte, error) {
+	z.src.Reset(payload)
+	if z.fr == nil {
+		z.fr = flate.NewReader(&z.src)
+	} else if err := z.fr.(flate.Resetter).Reset(&z.src, nil); err != nil {
+		return nil, err
+	}
+	z.lim = io.LimitedReader{R: z.fr, N: maxFramePayload + 1}
+	z.out.Reset()
+	if _, err := z.out.ReadFrom(&z.lim); err != nil {
+		return nil, err
+	}
+	return z.out.Bytes(), nil
+}
+
+// frameDecoder is the decode state one replay reuses from frame to frame:
+// the inflater of a compressed trace, the frame's string table, and the
+// record every event is decoded into. Strings are copied out of the
+// payload, so no decoded record aliases the reused buffers.
+type frameDecoder struct {
+	z    *inflater
+	strs []string
+	rec  pipeline.Record
+}
+
+// newDecoder returns a decoder for r's frames, holding a pooled inflater
+// when the trace is compressed. Return it with release.
+func (r *Reader) newDecoder() *frameDecoder {
+	d := &frameDecoder{}
+	if r.flags&FlagCompress != 0 {
+		d.z = inflaters.Get().(*inflater)
+	}
+	return d
+}
+
+func (d *frameDecoder) release() {
+	if d.z != nil {
+		d.z.src.Reset(nil) // do not keep the trace image alive in the pool
+		inflaters.Put(d.z)
+		d.z = nil
+	}
+}
+
 // Replay decodes every data frame in order and hands each reconstructed
 // record to dispatch — typically a Synchronous pipeline Transport's
 // Dispatch method with the offline backends attached. Heap-journal records
 // mutate the shadow heap before being dispatched, so a listener processing
 // record k observes exactly the heap state the live listener saw at
-// record k (the pipeline Barrier invariant).
+// record k (the pipeline Barrier invariant). As with a pipeline.RecordTap,
+// the record is valid only for the duration of the call: the reader
+// decodes the next event into it. The same holds for ReplayRange and
+// ReplayParallel.
 func (r *Reader) Replay(dispatch func(*pipeline.Record)) error {
 	return r.ReplayContext(context.Background(), dispatch)
 }
@@ -355,13 +417,14 @@ func (r *Reader) Replay(dispatch func(*pipeline.Record)) error {
 // the recorded stream.
 func (r *Reader) ReplayContext(ctx context.Context, dispatch func(*pipeline.Record)) error {
 	heap := shadowHeap{}
-	compressed := r.flags&FlagCompress != 0
+	d := r.newDecoder()
+	defer d.release()
 	off := int64(headerSize)
 	for off < r.dataEnd {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		payload, next, err := readFrame(r.data, off, compressed)
+		payload, next, err := readFrame(r.data, off, d.z)
 		if err != nil {
 			if r.stats.Truncated {
 				return nil
@@ -375,10 +438,10 @@ func (r *Reader) ReplayContext(ctx context.Context, dispatch func(*pipeline.Reco
 			continue
 		}
 		if r.stats.Truncated {
-			if replayFrameAtomic(payload, heap, dispatch) != nil {
+			if d.replayAtomic(payload, heap, dispatch) != nil {
 				return nil
 			}
-		} else if err := replayFrame(payload, heap, dispatch); err != nil {
+		} else if err := d.replay(payload, heap, dispatch); err != nil {
 			return frameErr(off, err)
 		}
 		off = next
@@ -386,13 +449,13 @@ func (r *Reader) ReplayContext(ctx context.Context, dispatch func(*pipeline.Reco
 	return nil
 }
 
-// replayFrameAtomic decodes a whole frame before dispatching any of it.
+// replayAtomic decodes a whole frame before dispatching any of it.
 // The shadow heap still mutates during the failed decode of a torn frame,
 // but no record of that frame reaches the listeners — and the caller stops
 // the replay there, so the inconsistency is never observed.
-func replayFrameAtomic(b []byte, heap shadowHeap, dispatch func(*pipeline.Record)) error {
+func (d *frameDecoder) replayAtomic(b []byte, heap shadowHeap, dispatch func(*pipeline.Record)) error {
 	var recs []pipeline.Record
-	if err := replayFrame(b, heap, func(r *pipeline.Record) {
+	if err := d.replay(b, heap, func(r *pipeline.Record) {
 		recs = append(recs, *r)
 	}); err != nil {
 		return err
@@ -403,10 +466,34 @@ func replayFrameAtomic(b []byte, heap shadowHeap, dispatch func(*pipeline.Record
 	return nil
 }
 
-// replayFrame decodes one frame payload. The string table and clock base
-// are frame-local, so every frame decodes independently.
-func replayFrame(b []byte, heap shadowHeap, dispatch func(*pipeline.Record)) error {
-	var strs []string
+// replay decodes one frame payload, binding each record against the
+// shadow heap and dispatching it in stream order.
+func (d *frameDecoder) replay(b []byte, heap shadowHeap, dispatch func(*pipeline.Record)) error {
+	return d.events(b, func(rec *pipeline.Record) error {
+		if err := bindBody(heap, rec); err != nil {
+			return err
+		}
+		dispatch(rec)
+		return nil
+	})
+}
+
+// parse decodes one frame payload without a heap, appending its records
+// to recs. On error it returns the records parsed before the damage.
+func (d *frameDecoder) parse(b []byte, recs []pipeline.Record) ([]pipeline.Record, error) {
+	err := d.events(b, func(rec *pipeline.Record) error {
+		recs = append(recs, *rec)
+		return nil
+	})
+	return recs, err
+}
+
+// events decodes one frame payload and calls emit with each event in
+// stream order. The record is parsed but not yet bound to a heap, and is
+// reused for the next event. The string table and clock base are
+// frame-local, so every frame decodes independently.
+func (d *frameDecoder) events(b []byte, emit func(*pipeline.Record) error) error {
+	d.strs = d.strs[:0]
 	var clock uint64
 	pos := 0
 	for pos < len(b) {
@@ -424,7 +511,7 @@ func replayFrame(b []byte, heap shadowHeap, dispatch func(*pipeline.Record)) err
 			if pos+n > len(b) {
 				return corruptf("truncated string at %d", pos)
 			}
-			strs = append(strs, string(b[pos:pos+n]))
+			d.strs = append(d.strs, string(b[pos:pos+n]))
 			pos += n
 			continue
 		}
@@ -438,14 +525,13 @@ func replayFrame(b []byte, heap shadowHeap, dispatch func(*pipeline.Record)) err
 		}
 		pos = pos2
 		clock += delta
-		rec := pipeline.Record{Op: op, Clock: clock}
-		if pos, err = parseBody(b, pos, &rec, strs); err != nil {
+		d.rec = pipeline.Record{Op: op, Clock: clock}
+		if pos, err = parseBody(b, pos, &d.rec, d.strs); err != nil {
 			return err
 		}
-		if err := bindBody(heap, &rec); err != nil {
+		if err := emit(&d.rec); err != nil {
 			return err
 		}
-		dispatch(&rec)
 	}
 	return nil
 }

@@ -138,7 +138,7 @@ func TestVerifyFileRange(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewReader: %v", err)
 	}
-	idxPayload, _, err := readFrame(data, r.dataEnd, false)
+	idxPayload, _, err := readFrame(data, r.dataEnd, nil)
 	if err != nil {
 		t.Fatalf("read index frame: %v", err)
 	}
@@ -283,7 +283,7 @@ func FuzzReplayV2(f *testing.F) {
 	// it with a typed error, not panic.
 	if r, err := NewReader(plain); err == nil && len(r.ckpts) > 0 {
 		ck := r.ckpts[0]
-		payload, _, err := readFrame(plain, r.frameOff[ck], false)
+		payload, _, err := readFrame(plain, r.frameOff[ck], nil)
 		if err != nil {
 			f.Fatalf("read checkpoint: %v", err)
 		}
@@ -297,7 +297,7 @@ func FuzzReplayV2(f *testing.F) {
 
 		// Seed: a corrupted Merkle node in the footer, CRC fixed up so the
 		// index parses and the damage must be caught by hash comparison.
-		idxPayload, _, err := readFrame(plain, r.dataEnd, false)
+		idxPayload, _, err := readFrame(plain, r.dataEnd, nil)
 		if err != nil {
 			f.Fatalf("read index: %v", err)
 		}

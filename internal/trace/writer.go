@@ -5,6 +5,7 @@ import (
 	"compress/flate"
 	"hash/crc32"
 	"io"
+	"sync"
 
 	"algoprof/internal/events"
 	"algoprof/internal/events/pipeline"
@@ -49,9 +50,11 @@ type Writer struct {
 	opts WriterOptions
 	err  error
 
-	off    int64  // bytes written to w so far
-	buf    []byte // current frame payload under construction
-	strs   map[string]int
+	off       int64         // bytes written to w so far
+	buf       []byte        // current frame payload under construction
+	zw        *flate.Writer // pooled compressor, held until Close or Abort
+	zbuf      bytes.Buffer  // current frame's compressed payload
+	strs      map[string]int
 	prevClock uint64
 
 	frames       []frameInfo
@@ -235,7 +238,7 @@ func (tw *Writer) flushFrame() {
 	}
 	tw.emitFrame(tw.buf, tw.frameRecords)
 	tw.buf = tw.buf[:0]
-	tw.strs = map[string]int{}
+	clear(tw.strs)
 	tw.prevClock = 0
 	tw.frameRecords = 0
 }
@@ -251,17 +254,28 @@ func (tw *Writer) writeCheckpoint() {
 	tw.emitFrame(encodeCheckpoint(tw.mirror), 0)
 }
 
+// deflaters recycles DEFLATE compressors across writers: each carries
+// about 800 KiB of match tables, and a compressor Reset onto a new
+// destination emits exactly the bytes a fresh flate.NewWriter would.
+var deflaters = sync.Pool{New: func() any {
+	fw, _ := flate.NewWriter(nil, flate.DefaultCompression)
+	return fw
+}}
+
 // emitFrame compresses (if configured), hashes, and writes one frame.
 func (tw *Writer) emitFrame(payload []byte, records uint64) {
 	if tw.opts.Compress {
-		var z bytes.Buffer
-		fw, _ := flate.NewWriter(&z, flate.DefaultCompression)
-		fw.Write(payload)
-		if err := fw.Close(); err != nil && tw.err == nil {
+		if tw.zw == nil {
+			tw.zw = deflaters.Get().(*flate.Writer)
+		}
+		tw.zbuf.Reset()
+		tw.zw.Reset(&tw.zbuf)
+		tw.zw.Write(payload)
+		if err := tw.zw.Close(); err != nil && tw.err == nil {
 			tw.err = err
 			return
 		}
-		payload = z.Bytes()
+		payload = tw.zbuf.Bytes()
 	}
 	tw.frames = append(tw.frames, frameInfo{off: tw.off, records: records})
 	tw.leaves = append(tw.leaves, leafHash(payload))
@@ -296,9 +310,19 @@ func (tw *Writer) Abort() error {
 	if tw.closed {
 		return tw.err
 	}
+	tw.finishFrames()
+	return tw.err
+}
+
+// finishFrames latches the writer closed, flushes the last frame, and
+// returns the compressor to the pool.
+func (tw *Writer) finishFrames() {
 	tw.closed = true
 	tw.flushFrame()
-	return tw.err
+	if tw.zw != nil {
+		deflaters.Put(tw.zw)
+		tw.zw = nil
+	}
 }
 
 // Close flushes the last frame, writes the index frame and trailer, and
@@ -308,8 +332,7 @@ func (tw *Writer) Close() error {
 	if tw.closed {
 		return tw.err
 	}
-	tw.closed = true
-	tw.flushFrame()
+	tw.finishFrames()
 	idx := putUvarint(nil, uint64(len(tw.frames)))
 	for _, f := range tw.frames {
 		idx = putUvarint(idx, uint64(f.off))

@@ -272,9 +272,9 @@ type VM struct {
 	// barriers on the interpreter's hot value copies.
 	framePool []*frame
 	nextID    uint64
-	rng    uint64
-	inPos  int
-	wdLeft int // instructions until the next Watchdog poll
+	rng       uint64
+	inPos     int
+	wdLeft    int // instructions until the next Watchdog poll
 
 	// Threading state. tid is this VM's deterministic thread id (0 for
 	// the main thread), depth its spawn nesting depth, spawnOrd its count

@@ -32,8 +32,8 @@ type ThreadTraceSink func(tid int) (io.WriteCloser, error)
 type threadSessions struct {
 	ins       *instrument.Instrumented
 	cfg       Config
-	pipelined bool             // spin per-thread consumer goroutines
-	sink      ThreadTraceSink  // non-nil in record mode
+	pipelined bool            // spin per-thread consumer goroutines
+	sink      ThreadTraceSink // non-nil in record mode
 	topts     trace.WriterOptions
 
 	mu       sync.Mutex
