@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt build test vet race ring-stress replay-race bench bench-smoke fuzz-smoke chaos-smoke service-smoke dist-chaos-smoke bench-service bench-dispatch paper
+.PHONY: check fmt build test vet race ring-stress replay-race bench bench-smoke perfbench-smoke fuzz-smoke chaos-smoke service-smoke dist-chaos-smoke bench-service bench-dispatch paper
 
 # The tier-1 gate plus formatting and the concurrency-sensitive packages
 # under the race detector. Run before committing.
@@ -62,6 +62,13 @@ bench:
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime=1x ./...
 	$(GO) run ./cmd/paper -j 1 bench -check
+
+# The repository benchmark's self-test. perfbench is a Go module of its
+# own, so `make test` does not reach it: a short pass of every workload,
+# traced and untraced, with every correctness check, and the printed
+# metric names and units held to BENCHMARK.json.
+perfbench-smoke:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Short live-fuzz legs over the decoder no-panic contracts: the trace
 # reader must recover-or-refuse arbitrary bytes (v1 recovery scan and the

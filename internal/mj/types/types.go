@@ -31,6 +31,9 @@ type Type struct {
 	Kind  Kind
 	Class *Class // for KClass
 	Elem  *Type  // for KArray
+	// name is an array type's String, built once by ArrayOf: the profiler
+	// asks every array it observes for its type name.
+	name string
 }
 
 // Pre-allocated singletons for the simple types.
@@ -44,7 +47,9 @@ var (
 )
 
 // ArrayOf returns the array type with the given element type.
-func ArrayOf(elem *Type) *Type { return &Type{Kind: KArray, Elem: elem} }
+func ArrayOf(elem *Type) *Type {
+	return &Type{Kind: KArray, Elem: elem, name: elem.String() + "[]"}
+}
 
 // ClassType returns the type of instances of c.
 func ClassType(c *Class) *Type { return &Type{Kind: KClass, Class: c} }
@@ -67,6 +72,9 @@ func (t *Type) String() string {
 	case KClass:
 		return t.Class.Name
 	case KArray:
+		if t.name != "" {
+			return t.name
+		}
 		return t.Elem.String() + "[]"
 	}
 	return "?"

@@ -306,3 +306,27 @@ func TestMoreTypeErrors(t *testing.T) {
 		})
 	}
 }
+
+// TestArrayTypeNames: an array type renders as its element type plus
+// "[]" per dimension, and the name is built once, by ArrayOf — the
+// profiler asks every array it observes for it.
+func TestArrayTypeNames(t *testing.T) {
+	node := ClassType(&Class{Name: "Node"})
+	cases := []struct {
+		typ  *Type
+		want string
+	}{
+		{ArrayOf(Int), "int[]"},
+		{ArrayOf(ArrayOf(String)), "String[][]"},
+		{ArrayOf(node), "Node[]"},
+		{ArrayOf(ArrayOf(ArrayOf(Object))), "Object[][][]"},
+	}
+	for _, tc := range cases {
+		if got := tc.typ.String(); got != tc.want {
+			t.Errorf("String() = %q, want %q", got, tc.want)
+		}
+		if a := testing.AllocsPerRun(10, func() { _ = tc.typ.String() }); a != 0 {
+			t.Errorf("%s: String() allocates %.0f times per call, want 0", tc.want, a)
+		}
+	}
+}

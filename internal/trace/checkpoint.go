@@ -80,7 +80,9 @@ func decodeCheckpoint(b []byte) (shadowHeap, error) {
 		return nil, err
 	}
 	h := shadowHeap{}
-	order := make([]*shadowEntity, 0, n)
+	// An entity takes at least 7 bytes: five one-byte identity fields,
+	// then its link and slot counts.
+	order := make([]*shadowEntity, 0, capFor(n, b, pos, 7))
 	for i := 0; i < n; i++ {
 		var id uint64
 		if id, pos, err = readUvarint(b, pos); err != nil {
@@ -162,6 +164,10 @@ func decodeCheckpoint(b []byte) (shadowHeap, error) {
 		var nSlots int
 		if nSlots, pos, err = readUint(b, pos, uint64(e.capacity)+1, "checkpoint slot count"); err != nil {
 			return nil, err
+		}
+		// Every slot takes at least its kind byte.
+		if nSlots > len(b)-pos {
+			return nil, corruptf("checkpoint slot count %d exceeds the %d bytes left", nSlots, len(b)-pos)
 		}
 		e.slots = make([]shadowSlot, nSlots)
 		for j := 0; j < nSlots; j++ {

@@ -181,3 +181,11 @@ func readUint(b []byte, pos int, limit uint64, what string) (int, int, error) {
 	}
 	return int(v), pos, nil
 }
+
+// capFor bounds the preallocation for n items about to be decoded from
+// b[pos:], each encoded in at least minBytes bytes: a count is untrusted
+// until its items have been read, so a forged one may cost no more memory
+// than the payload that carries it.
+func capFor(n int, b []byte, pos, minBytes int) int {
+	return min(n, (len(b)-pos)/minBytes)
+}

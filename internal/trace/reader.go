@@ -214,8 +214,9 @@ func parseIndexData(idx []byte, version uint32, dataEnd int64) (*indexData, erro
 	if err != nil {
 		return nil, err
 	}
-	d.frameOff = make([]int64, 0, nFrames)
-	d.frameRec = make([]uint64, 0, nFrames)
+	// A frame entry is two uvarints: its offset and its record count.
+	d.frameOff = make([]int64, 0, capFor(nFrames, idx, pos, 2))
+	d.frameRec = make([]uint64, 0, capFor(nFrames, idx, pos, 2))
 	for i := 0; i < nFrames; i++ {
 		var off uint64
 		off, pos, err = readUvarint(idx, pos)
@@ -252,7 +253,7 @@ func parseIndexData(idx []byte, version uint32, dataEnd int64) (*indexData, erro
 	if err != nil {
 		return nil, err
 	}
-	d.ckpts = make([]int, 0, nCkpts)
+	d.ckpts = make([]int, 0, capFor(nCkpts, idx, pos, 1))
 	for i := 0; i < nCkpts; i++ {
 		var c int
 		if c, pos, err = readUint(idx, pos, uint64(nFrames), "checkpoint frame index"); err != nil {
@@ -263,6 +264,8 @@ func parseIndexData(idx []byte, version uint32, dataEnd int64) (*indexData, erro
 		}
 		d.ckpts = append(d.ckpts, c)
 	}
+	// The size check bounds the leaves by the payload before they are
+	// allocated.
 	need := (nFrames + 1) * HashSize
 	if len(idx)-pos != need {
 		return nil, corruptf("merkle section is %d bytes, want %d", len(idx)-pos, need)

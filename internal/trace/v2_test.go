@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"algoprof/internal/events/pipeline"
@@ -362,6 +363,48 @@ func mustTyped(t *testing.T, err error) {
 	t.Fatalf("untyped error: %v", err)
 }
 
+// forgedEntityCount is a checkpoint payload (after its tag) whose entity
+// count decodes to about 1.27 billion: sized from that count, the
+// decoder's entity table alone would take 10 GB.
+const forgedEntityCount = "\xde\xde\xde\xde\x04000"
+
+// allocated reports how many heap bytes f allocates.
+func allocated(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestForgedCountsRefused: a checkpoint or index whose item count the
+// payload cannot hold is refused typed, with preallocation bounded by the
+// payload rather than by the count.
+func TestForgedCountsRefused(t *testing.T) {
+	ckpt := append([]byte{tagCheckpoint}, forgedEntityCount...)
+	// An index claiming 2^32-1 frames, then one frame entry and the end.
+	index := binary.AppendUvarint(nil, 1<<32-1)
+	index = binary.AppendUvarint(index, headerSize)
+	index = binary.AppendUvarint(index, 1)
+	cases := []struct {
+		name   string
+		decode func() error
+	}{
+		{"checkpoint", func() error { _, err := decodeCheckpoint(ckpt); return err }},
+		{"index", func() error { _, err := parseIndexData(index, Version, 1<<20); return err }},
+	}
+	for _, tc := range cases {
+		var err error
+		n := allocated(func() { err = tc.decode() })
+		if !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: err = %v, want ErrCorrupt", tc.name, err)
+		}
+		if n > 1<<20 {
+			t.Errorf("%s: decoding a %d-byte forgery allocated %d bytes", tc.name, len(ckpt), n)
+		}
+	}
+}
+
 // FuzzCheckpointDecode hammers the checkpoint decoder directly: any input
 // must produce a heap or a typed error, never a panic.
 func FuzzCheckpointDecode(f *testing.F) {
@@ -377,6 +420,7 @@ func FuzzCheckpointDecode(f *testing.F) {
 	flipped := append([]byte(nil), valid...)
 	flipped[len(flipped)/3] ^= 0xFF
 	f.Add(flipped)
+	f.Add([]byte(forgedEntityCount))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 || data[0] != tagCheckpoint {
 			data = append([]byte{tagCheckpoint}, data...)

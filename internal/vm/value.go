@@ -25,13 +25,15 @@ const (
 	ValArr
 )
 
-// Value is a runtime value.
+// Value is a runtime value: a kind, an int, and one interface word pair
+// holding the reference a ValStr, ValObj or ValArr carries. At 32 bytes,
+// every operand-stack slot, local, field and array element copies four
+// words. R's dynamic type follows K exactly — string, *Object or *Array,
+// nil otherwise — so a type assertion on R doubles as the kind check.
 type Value struct {
 	K ValKind
 	I int64 // int value, or 0/1 for bool
-	S string
-	O *Object
-	A *Array
+	R any   // string (ValStr), *Object (ValObj), *Array (ValArr), else nil
 }
 
 // Convenience constructors.
@@ -43,9 +45,9 @@ func boolVal(b bool) Value {
 	}
 	return v
 }
-func strVal(s string) Value  { return Value{K: ValStr, S: s} }
-func objVal(o *Object) Value { return Value{K: ValObj, O: o} }
-func arrVal(a *Array) Value  { return Value{K: ValArr, A: a} }
+func strVal(s string) Value  { return Value{K: ValStr, R: s} }
+func objVal(o *Object) Value { return Value{K: ValObj, R: o} }
+func arrVal(a *Array) Value  { return Value{K: ValArr, R: a} }
 
 var nullVal = Value{K: ValNull}
 
@@ -54,11 +56,11 @@ func (v Value) IsNull() bool { return v.K == ValNull }
 
 // Entity returns the heap entity behind v, or nil for non-references.
 func (v Value) Entity() events.Entity {
-	switch v.K {
-	case ValObj:
-		return v.O
-	case ValArr:
-		return v.A
+	switch r := v.R.(type) {
+	case *Object:
+		return r
+	case *Array:
+		return r
 	}
 	return nil
 }
@@ -76,11 +78,13 @@ func (v Value) String() string {
 		}
 		return "false"
 	case ValStr:
-		return v.S
+		return v.R.(string)
 	case ValObj:
-		return fmt.Sprintf("%s@%d", v.O.Class.Name, v.O.ID)
+		o := v.R.(*Object)
+		return fmt.Sprintf("%s@%d", o.Class.Name, o.ID)
 	case ValArr:
-		return fmt.Sprintf("%s@%d(len=%d)", v.A.Type.String(), v.A.ID, len(v.A.Elems))
+		a := v.R.(*Array)
+		return fmt.Sprintf("%s@%d(len=%d)", a.TypeName(), a.ID, len(a.Elems))
 	}
 	return "?"
 }
@@ -98,11 +102,11 @@ func equal(a, b Value) bool {
 	case ValInt, ValBool:
 		return a.I == b.I
 	case ValStr:
-		return a.S == b.S
+		return a.R.(string) == b.R.(string)
 	case ValObj:
-		return a.O == b.O
+		return a.R.(*Object) == b.R.(*Object)
 	case ValArr:
-		return a.A == b.A
+		return a.R.(*Array) == b.R.(*Array)
 	}
 	return false
 }
@@ -135,12 +139,11 @@ func (o *Object) Capacity() int { return 0 }
 // ForEachRef implements events.Entity: visits non-nil object/array fields.
 func (o *Object) ForEachRef(visit func(fieldID int, target events.Entity)) {
 	for _, f := range o.Class.RefFields() {
-		v := o.Fields[f.Slot]
-		switch v.K {
-		case ValObj:
-			visit(f.ID, v.O)
-		case ValArr:
-			visit(f.ID, v.A)
+		switch r := o.Fields[f.Slot].R.(type) {
+		case *Object:
+			visit(f.ID, r)
+		case *Array:
+			visit(f.ID, r)
 		}
 	}
 }
@@ -154,12 +157,11 @@ func (o *Object) AppendRefs(keep func(fieldID int) bool, dst []events.Entity) []
 		if !keep(f.ID) {
 			continue
 		}
-		v := o.Fields[f.Slot]
-		switch v.K {
-		case ValObj:
-			dst = append(dst, v.O)
-		case ValArr:
-			dst = append(dst, v.A)
+		switch r := o.Fields[f.Slot].R.(type) {
+		case *Object:
+			dst = append(dst, r)
+		case *Array:
+			dst = append(dst, r)
 		}
 	}
 	return dst
@@ -193,12 +195,12 @@ func (a *Array) ForEachRef(visit func(fieldID int, target events.Entity)) {
 	if !a.Type.Elem.IsRef() {
 		return
 	}
-	for _, v := range a.Elems {
-		switch v.K {
-		case ValObj:
-			visit(-1, v.O)
-		case ValArr:
-			visit(-1, v.A)
+	for i := range a.Elems {
+		switch r := a.Elems[i].R.(type) {
+		case *Object:
+			visit(-1, r)
+		case *Array:
+			visit(-1, r)
 		}
 	}
 }
@@ -206,22 +208,24 @@ func (a *Array) ForEachRef(visit func(fieldID int, target events.Entity)) {
 // ForEachElemKey implements events.Entity.
 func (a *Array) ForEachElemKey(visit func(events.ElemKey)) {
 	if a.Type.Elem.IsRef() {
-		for _, v := range a.Elems {
+		for i := range a.Elems {
+			v := &a.Elems[i]
 			switch v.K {
 			case ValObj:
-				visit(events.RefKey(v.O.ID))
+				visit(events.RefKey(v.R.(*Object).ID))
 			case ValArr:
-				visit(events.RefKey(v.A.ID))
+				visit(events.RefKey(v.R.(*Array).ID))
 			case ValStr:
-				visit(v.S)
+				visit(v.R)
 			}
 		}
 		return
 	}
-	for _, v := range a.Elems {
+	for i := range a.Elems {
+		v := &a.Elems[i]
 		switch v.K {
 		case ValStr:
-			visit(v.S)
+			visit(v.R)
 		default:
 			visit(v.I)
 		}

@@ -3,6 +3,7 @@ package vm
 import (
 	"fmt"
 	"runtime/debug"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -274,7 +275,18 @@ type VM struct {
 	nextID    uint64
 	rng       uint64
 	inPos     int
-	wdLeft    int // instructions until the next Watchdog poll
+
+	// limit is min(MaxSteps, nextPoll), so one compare per instruction
+	// guards both the step budget and the Watchdog cadence; stepLimit
+	// tells the two apart. nextPoll is the InstrCount at which the next
+	// poll falls.
+	limit    uint64
+	nextPoll uint64
+
+	// strConsts holds each function's string literals boxed once, indexed
+	// by method id and then pc, so pushing a literal allocates nothing.
+	// A function's row is built at its first literal push.
+	strConsts [][]Value
 
 	// Threading state. tid is this VM's deterministic thread id (0 for
 	// the main thread), depth its spawn nesting depth, spawnOrd its count
@@ -373,14 +385,16 @@ func New(prog *bytecode.Program, cfg Config) *VM {
 		// A full interval before the first poll: even an already-expired
 		// deadline lets the program execute a prefix, so the halted run
 		// still carries events and a nonzero instruction count.
-		wdLeft: watchdogInterval,
-		gate:   buildGate(prog, cfg),
-		vtable: map[vtKey]*bytecode.Function{},
-		byName: map[nmKey]*types.Method{},
+		nextPoll: watchdogInterval,
+		gate:     buildGate(prog, cfg),
+		vtable:   map[vtKey]*bytecode.Function{},
+		byName:   map[nmKey]*types.Method{},
 		// Epoch 1 so the zero-valued siteEpoch table means "never touched".
 		accessEpoch: 1,
 		siteEpoch:   make([]uint64, cfg.NumSites),
+		strConsts:   make([][]Value, len(prog.Funcs)),
 	}
+	m.limit = min(cfg.MaxSteps, m.nextPoll)
 	if pl, ok := cfg.Listener.(events.PathListener); ok {
 		m.pl = pl
 	}
@@ -431,10 +445,16 @@ func containPanic(err *error) {
 }
 
 func (m *VM) fail(f *frame, format string, args ...any) error {
+	return m.failAt(f, f.pc, format, args...)
+}
+
+// failAt is fail for the interpreter loop, whose current pc lives in a
+// local rather than in f.
+func (m *VM) failAt(f *frame, pc int, format string, args ...any) error {
 	return &RuntimeError{
 		Msg:    fmt.Sprintf(format, args...),
 		Method: f.fn.Name(),
-		PC:     f.pc,
+		PC:     pc,
 	}
 }
 
@@ -775,19 +795,63 @@ func (m *VM) flushPathLoop(ol *openLoop) {
 	m.pathArena = m.pathArena[:ol.base]
 }
 
-func (m *VM) push(f *frame, v Value) { f.stack = append(f.stack, v) }
+// stepLimit is the slow path of the per-instruction guard, taken when
+// InstrCount reaches limit: the budget is exhausted, or a Watchdog poll is
+// due. A poll arms the next one a full interval on, so polls fall at
+// InstrCount 4096, 8193, 12290, ...; without a Watchdog the cadence still
+// runs and the poll does nothing.
+func (m *VM) stepLimit(f *frame, pc int) error {
+	if m.InstrCount >= m.cfg.MaxSteps {
+		return m.failAt(f, pc, "instruction budget exhausted (%d)", m.cfg.MaxSteps)
+	}
+	m.nextPoll = m.InstrCount + watchdogInterval + 1
+	m.limit = min(m.cfg.MaxSteps, m.nextPoll)
+	if m.cfg.Watchdog != nil {
+		return m.cfg.Watchdog()
+	}
+	return nil
+}
 
-func (m *VM) pop(f *frame) Value {
-	v := f.stack[len(f.stack)-1]
-	f.stack = f.stack[:len(f.stack)-1]
-	return v
+// constStr is the value the OpConstStr at fn's pc pushes, boxed once.
+func (m *VM) constStr(fn *bytecode.Function, pc int) Value {
+	tab := m.strConsts[fn.Method.ID]
+	if tab == nil {
+		tab = make([]Value, len(fn.Code))
+		for i := range fn.Code {
+			if in := &fn.Code[i]; in.Op == bytecode.OpConstStr {
+				tab[i] = strVal(in.S)
+			}
+		}
+		m.strConsts[fn.Method.ID] = tab
+	}
+	return tab[pc]
+}
+
+// catch delivers err to a handler of f when it is an MJ exception thrown
+// out of the instruction before f.pc, reporting whether f continues.
+func (m *VM) catch(f *frame, err error) bool {
+	th, ok := err.(*Thrown)
+	return ok && m.deliver(f, th, f.pc-1)
 }
 
 // interpret runs one frame to completion. On normal return, the returned
 // value (if any) has been pushed to the caller's stack.
+//
+// The pc and the operand stack live in locals. They are written back to
+// f only where other code reads them — calls, builtins, spawn, join,
+// exception delivery and return — and reloaded after: a callee pushes its
+// result onto f.stack, and a handler resets both. Calls and builtins take
+// their arguments in place, as the slice of the operand stack just above
+// its written-back top.
 func (m *VM) interpret(f *frame) error {
-	code := f.fn.Code
+	fn := f.fn
+	code := fn.Code
+	locals := f.locals
+	stack := f.stack
+	pc := f.pc
+	sem := m.prog.Sem
 	listener := m.cfg.Listener
+	hook := m.cfg.InstrHook
 	g := &m.gate
 	preWrite := m.cfg.PreWrite
 	journal := m.cfg.Journal
@@ -797,398 +861,399 @@ func (m *VM) interpret(f *frame) error {
 	}
 
 	for {
-		if f.pc < 0 || f.pc >= len(code) {
-			return m.fail(f, "pc out of range")
+		if uint(pc) >= uint(len(code)) {
+			return m.failAt(f, pc, "pc out of range")
 		}
-		if m.InstrCount >= m.cfg.MaxSteps {
-			return m.fail(f, "instruction budget exhausted (%d)", m.cfg.MaxSteps)
-		}
-		if m.cfg.Watchdog != nil {
-			if m.wdLeft--; m.wdLeft < 0 {
-				m.wdLeft = watchdogInterval
-				if err := m.cfg.Watchdog(); err != nil {
-					return err
-				}
+		if m.InstrCount >= m.limit {
+			if err := m.stepLimit(f, pc); err != nil {
+				return err
 			}
 		}
 		m.InstrCount++
-		if m.cfg.InstrHook != nil {
-			m.cfg.InstrHook(f.fn.Method.ID, f.pc)
+		if hook != nil {
+			hook(fn.Method.ID, pc)
 		}
-		in := code[f.pc]
-		f.pc++
+		in := &code[pc]
+		pc++
 
 		switch in.Op {
 		case bytecode.OpConstInt:
-			m.push(f, intVal(int64(in.A)))
+			stack = append(stack, intVal(int64(in.A)))
 		case bytecode.OpConstBool:
-			m.push(f, boolVal(in.A != 0))
+			stack = append(stack, boolVal(in.A != 0))
 		case bytecode.OpConstStr:
-			m.push(f, strVal(in.S))
+			stack = append(stack, m.constStr(fn, pc-1))
 		case bytecode.OpConstNull:
-			m.push(f, nullVal)
+			stack = append(stack, nullVal)
 		case bytecode.OpPop:
-			m.pop(f)
+			stack = stack[:len(stack)-1]
 		case bytecode.OpDup:
-			m.push(f, f.stack[len(f.stack)-1])
+			stack = append(stack, stack[len(stack)-1])
 
 		case bytecode.OpLoadLocal:
-			m.push(f, f.locals[in.A])
+			stack = append(stack, locals[in.A])
 		case bytecode.OpStoreLocal:
-			f.locals[in.A] = m.pop(f)
+			n := len(stack) - 1
+			locals[in.A] = stack[n]
+			stack = stack[:n]
 
 		case bytecode.OpNewObject:
-			cls := m.prog.Sem.Classes[in.A]
+			cls := sem.Classes[in.A]
 			o := m.newObject(cls)
 			if g.alloc[cls.ID] {
 				listener.Alloc(o, cls.ID)
 			}
-			m.push(f, objVal(o))
+			stack = append(stack, objVal(o))
 
 		case bytecode.OpGetField:
-			fld := m.prog.Sem.FieldByID(in.A)
-			recv := m.pop(f)
-			if recv.K != ValObj {
-				return m.fail(f, "null dereference reading %s", fld.QualifiedName())
+			fld := sem.FieldByID(in.A)
+			top := &stack[len(stack)-1]
+			recv, ok := top.R.(*Object)
+			if !ok {
+				return m.failAt(f, pc, "null dereference reading %s", fld.QualifiedName())
 			}
 			if g.field[fld.ID] {
 				if in.B != 0 && m.pl != nil {
-					m.siteTouch(in.B-1, recv.O)
+					m.siteTouch(in.B-1, recv)
 				} else {
-					listener.FieldGet(recv.O, fld.ID)
+					listener.FieldGet(recv, fld.ID)
 				}
 			}
-			m.push(f, recv.O.Fields[fld.Slot])
+			*top = recv.Fields[fld.Slot]
 
 		case bytecode.OpPutField:
-			fld := m.prog.Sem.FieldByID(in.A)
-			val := m.pop(f)
-			recv := m.pop(f)
-			if recv.K != ValObj {
-				return m.fail(f, "null dereference writing %s", fld.QualifiedName())
+			fld := sem.FieldByID(in.A)
+			n := len(stack) - 2
+			val := stack[n+1]
+			recv, ok := stack[n].R.(*Object)
+			stack = stack[:n]
+			if !ok {
+				return m.failAt(f, pc, "null dereference writing %s", fld.QualifiedName())
 			}
 			if preWrite != nil {
 				preWrite()
 			}
-			recv.O.Fields[fld.Slot] = val
+			recv.Fields[fld.Slot] = val
 			if g.field[fld.ID] {
 				if in.B != 0 && m.pl != nil {
-					m.siteTouch(in.B-1, recv.O)
+					m.siteTouch(in.B-1, recv)
 				} else {
-					listener.FieldPut(recv.O, fld.ID, val.Entity())
+					listener.FieldPut(recv, fld.ID, val.Entity())
 				}
 			}
 
 		case bytecode.OpGetFieldDyn:
-			recv := m.pop(f)
-			if recv.K != ValObj {
-				return m.fail(f, "null or non-object dereference reading .%s", in.S)
+			top := &stack[len(stack)-1]
+			recv, ok := top.R.(*Object)
+			if !ok {
+				return m.failAt(f, pc, "null or non-object dereference reading .%s", in.S)
 			}
-			fld := recv.O.Class.LookupField(in.S)
+			fld := recv.Class.LookupField(in.S)
 			if fld == nil {
-				return m.fail(f, "class %s has no field %s", recv.O.Class.Name, in.S)
+				return m.failAt(f, pc, "class %s has no field %s", recv.Class.Name, in.S)
 			}
 			if g.field[fld.ID] {
-				listener.FieldGet(recv.O, fld.ID)
+				listener.FieldGet(recv, fld.ID)
 			}
-			m.push(f, recv.O.Fields[fld.Slot])
+			*top = recv.Fields[fld.Slot]
 
 		case bytecode.OpPutFieldDyn:
-			val := m.pop(f)
-			recv := m.pop(f)
-			if recv.K != ValObj {
-				return m.fail(f, "null or non-object dereference writing .%s", in.S)
+			n := len(stack) - 2
+			val := stack[n+1]
+			recv, ok := stack[n].R.(*Object)
+			stack = stack[:n]
+			if !ok {
+				return m.failAt(f, pc, "null or non-object dereference writing .%s", in.S)
 			}
-			fld := recv.O.Class.LookupField(in.S)
+			fld := recv.Class.LookupField(in.S)
 			if fld == nil {
-				return m.fail(f, "class %s has no field %s", recv.O.Class.Name, in.S)
+				return m.failAt(f, pc, "class %s has no field %s", recv.Class.Name, in.S)
 			}
 			if preWrite != nil {
 				preWrite()
 			}
-			recv.O.Fields[fld.Slot] = val
+			recv.Fields[fld.Slot] = val
 			if g.field[fld.ID] {
-				listener.FieldPut(recv.O, fld.ID, val.Entity())
+				listener.FieldPut(recv, fld.ID, val.Entity())
 			}
 
 		case bytecode.OpNewArray:
 			t := m.prog.TypePool[in.A]
-			n := m.pop(f)
-			if n.I < 0 {
-				return m.fail(f, "negative array size %d", n.I)
+			top := &stack[len(stack)-1]
+			if top.I < 0 {
+				return m.failAt(f, pc, "negative array size %d", top.I)
 			}
-			m.push(f, arrVal(m.newArray(t, int(n.I))))
+			*top = arrVal(m.newArray(t, int(top.I)))
 
 		case bytecode.OpNewArrayMulti:
 			t := m.prog.TypePool[in.A]
 			dims := make([]int, in.B)
 			for i := in.B - 1; i >= 0; i-- {
-				v := m.pop(f)
+				v := stack[len(stack)-1]
+				stack = stack[:len(stack)-1]
 				if v.I < 0 {
-					return m.fail(f, "negative array size %d", v.I)
+					return m.failAt(f, pc, "negative array size %d", v.I)
 				}
 				dims[i] = int(v.I)
 			}
-			arr := m.newArrayMulti(t, dims)
-			m.push(f, arrVal(arr))
+			stack = append(stack, arrVal(m.newArrayMulti(t, dims)))
 
 		case bytecode.OpALoad:
-			idx := m.pop(f)
-			av := m.pop(f)
-			if av.K != ValArr {
-				return m.fail(f, "null dereference indexing array")
+			n := len(stack) - 2
+			idx := stack[n+1].I
+			arr, ok := stack[n].R.(*Array)
+			if !ok {
+				return m.failAt(f, pc, "null dereference indexing array")
 			}
-			if idx.I < 0 || int(idx.I) >= len(av.A.Elems) {
-				return m.fail(f, "array index %d out of bounds (len %d)", idx.I, len(av.A.Elems))
+			if idx < 0 || idx >= int64(len(arr.Elems)) {
+				return m.failAt(f, pc, "array index %d out of bounds (len %d)", idx, len(arr.Elems))
 			}
 			if g.arrays {
 				if in.B != 0 && m.pl != nil {
-					m.siteTouch(in.B-1, av.A)
+					m.siteTouch(in.B-1, arr)
 				} else {
-					listener.ArrayLoad(av.A)
+					listener.ArrayLoad(arr)
 				}
 			}
-			m.push(f, av.A.Elems[idx.I])
+			stack[n] = arr.Elems[idx]
+			stack = stack[:n+1]
 
 		case bytecode.OpAStore:
-			val := m.pop(f)
-			idx := m.pop(f)
-			av := m.pop(f)
-			if av.K != ValArr {
-				return m.fail(f, "null dereference storing into array")
+			n := len(stack) - 3
+			val := stack[n+2]
+			idx := stack[n+1].I
+			arr, ok := stack[n].R.(*Array)
+			stack = stack[:n]
+			if !ok {
+				return m.failAt(f, pc, "null dereference storing into array")
 			}
-			if idx.I < 0 || int(idx.I) >= len(av.A.Elems) {
-				return m.fail(f, "array index %d out of bounds (len %d)", idx.I, len(av.A.Elems))
+			if idx < 0 || idx >= int64(len(arr.Elems)) {
+				return m.failAt(f, pc, "array index %d out of bounds (len %d)", idx, len(arr.Elems))
 			}
 			if preWrite != nil {
 				preWrite()
 			}
-			av.A.Elems[idx.I] = val
+			arr.Elems[idx] = val
 			if journal != nil {
 				key, tgt := jrnlKey(val)
-				journal.ArrayStoreAt(av.A, int(idx.I), key, tgt)
+				journal.ArrayStoreAt(arr, int(idx), key, tgt)
 			}
 			if g.arrays {
 				if in.B != 0 && m.pl != nil {
-					m.siteTouch(in.B-1, av.A)
+					m.siteTouch(in.B-1, arr)
 				} else {
-					listener.ArrayStore(av.A, val.Entity())
+					listener.ArrayStore(arr, val.Entity())
 				}
 			}
 
 		case bytecode.OpArrayLen:
-			av := m.pop(f)
-			if av.K != ValArr {
-				return m.fail(f, "null dereference reading array length")
+			top := &stack[len(stack)-1]
+			arr, ok := top.R.(*Array)
+			if !ok {
+				return m.failAt(f, pc, "null dereference reading array length")
 			}
-			m.push(f, intVal(int64(len(av.A.Elems))))
+			*top = intVal(int64(len(arr.Elems)))
 
 		case bytecode.OpStrLen:
-			sv := m.pop(f)
-			if sv.K != ValStr {
-				return m.fail(f, "null dereference reading string length")
+			top := &stack[len(stack)-1]
+			str, ok := top.R.(string)
+			if !ok {
+				return m.failAt(f, pc, "null dereference reading string length")
 			}
-			m.push(f, intVal(int64(len(sv.S))))
+			*top = intVal(int64(len(str)))
 
 		case bytecode.OpAdd, bytecode.OpSub, bytecode.OpMul, bytecode.OpDiv, bytecode.OpMod:
-			b := m.pop(f)
-			a := m.pop(f)
+			n := len(stack) - 1
+			a, b := stack[n-1].I, stack[n].I
 			var r int64
 			switch in.Op {
 			case bytecode.OpAdd:
-				r = a.I + b.I
+				r = a + b
 			case bytecode.OpSub:
-				r = a.I - b.I
+				r = a - b
 			case bytecode.OpMul:
-				r = a.I * b.I
+				r = a * b
 			case bytecode.OpDiv:
-				if b.I == 0 {
-					return m.fail(f, "division by zero")
+				if b == 0 {
+					return m.failAt(f, pc, "division by zero")
 				}
-				r = a.I / b.I
+				r = a / b
 			case bytecode.OpMod:
-				if b.I == 0 {
-					return m.fail(f, "division by zero")
+				if b == 0 {
+					return m.failAt(f, pc, "division by zero")
 				}
-				r = a.I % b.I
+				r = a % b
 			}
-			m.push(f, intVal(r))
+			stack[n-1] = intVal(r)
+			stack = stack[:n]
 
 		case bytecode.OpNeg:
-			a := m.pop(f)
-			m.push(f, intVal(-a.I))
+			top := &stack[len(stack)-1]
+			*top = intVal(-top.I)
 
 		case bytecode.OpConcat:
-			b := m.pop(f)
-			a := m.pop(f)
-			m.push(f, strVal(a.String()+b.String()))
+			n := len(stack) - 1
+			stack[n-1] = strVal(stack[n-1].String() + stack[n].String())
+			stack = stack[:n]
 
 		case bytecode.OpNot:
-			a := m.pop(f)
-			m.push(f, boolVal(a.I == 0))
+			top := &stack[len(stack)-1]
+			*top = boolVal(top.I == 0)
 
 		case bytecode.OpCmpEq:
-			b := m.pop(f)
-			a := m.pop(f)
-			m.push(f, boolVal(equal(a, b)))
+			n := len(stack) - 1
+			stack[n-1] = boolVal(equal(stack[n-1], stack[n]))
+			stack = stack[:n]
 		case bytecode.OpCmpNe:
-			b := m.pop(f)
-			a := m.pop(f)
-			m.push(f, boolVal(!equal(a, b)))
+			n := len(stack) - 1
+			stack[n-1] = boolVal(!equal(stack[n-1], stack[n]))
+			stack = stack[:n]
 		case bytecode.OpCmpLt:
-			b := m.pop(f)
-			a := m.pop(f)
-			m.push(f, boolVal(a.I < b.I))
+			n := len(stack) - 1
+			stack[n-1] = boolVal(stack[n-1].I < stack[n].I)
+			stack = stack[:n]
 		case bytecode.OpCmpGt:
-			b := m.pop(f)
-			a := m.pop(f)
-			m.push(f, boolVal(a.I > b.I))
+			n := len(stack) - 1
+			stack[n-1] = boolVal(stack[n-1].I > stack[n].I)
+			stack = stack[:n]
 		case bytecode.OpCmpLe:
-			b := m.pop(f)
-			a := m.pop(f)
-			m.push(f, boolVal(a.I <= b.I))
+			n := len(stack) - 1
+			stack[n-1] = boolVal(stack[n-1].I <= stack[n].I)
+			stack = stack[:n]
 		case bytecode.OpCmpGe:
-			b := m.pop(f)
-			a := m.pop(f)
-			m.push(f, boolVal(a.I >= b.I))
+			n := len(stack) - 1
+			stack[n-1] = boolVal(stack[n-1].I >= stack[n].I)
+			stack = stack[:n]
 
 		case bytecode.OpJmp:
-			f.pc = in.A
+			pc = in.A
 		case bytecode.OpJmpIfFalse:
-			if m.pop(f).I == 0 {
-				f.pc = in.A
+			n := len(stack) - 1
+			if stack[n].I == 0 {
+				pc = in.A
 			}
+			stack = stack[:n]
 		case bytecode.OpJmpIfTrue:
-			if m.pop(f).I != 0 {
-				f.pc = in.A
+			n := len(stack) - 1
+			if stack[n].I != 0 {
+				pc = in.A
 			}
+			stack = stack[:n]
 
 		case bytecode.OpCallStatic:
 			target := m.prog.FuncByID(in.A)
-			nargs := len(target.Method.Params)
-			args := make([]Value, nargs)
-			for i := nargs - 1; i >= 0; i-- {
-				args[i] = m.pop(f)
-			}
-			if err := m.call(target, args); err != nil {
-				if th, ok := err.(*Thrown); ok && m.deliver(f, th, f.pc-1) {
-					break
-				}
+			base := len(stack) - len(target.Method.Params)
+			f.pc, f.stack = pc, stack[:base]
+			if err := m.call(target, stack[base:]); err != nil && !m.catch(f, err) {
 				return err
 			}
+			pc, stack = f.pc, f.stack
 
 		case bytecode.OpCallVirt:
-			declared := m.prog.Sem.MethodByID(in.A)
-			nargs := len(declared.Params)
-			args := make([]Value, nargs+1)
-			for i := nargs; i >= 1; i-- {
-				args[i] = m.pop(f)
+			declared := sem.MethodByID(in.A)
+			base := len(stack) - len(declared.Params) - 1
+			recv, ok := stack[base].R.(*Object)
+			if !ok {
+				return m.failAt(f, pc, "null dereference calling %s", declared.QualifiedName())
 			}
-			recvVal := m.pop(f)
-			if recvVal.K != ValObj {
-				return m.fail(f, "null dereference calling %s", declared.QualifiedName())
-			}
-			args[0] = recvVal
-			target := m.resolveVirtual(recvVal.O, declared)
-			if err := m.call(target, args); err != nil {
-				if th, ok := err.(*Thrown); ok && m.deliver(f, th, f.pc-1) {
-					break
-				}
+			target := m.resolveVirtual(recv, declared)
+			f.pc, f.stack = pc, stack[:base]
+			if err := m.call(target, stack[base:]); err != nil && !m.catch(f, err) {
 				return err
 			}
+			pc, stack = f.pc, f.stack
 
 		case bytecode.OpCallDyn:
 			nargs := in.B
-			args := make([]Value, nargs+1)
-			for i := nargs; i >= 1; i-- {
-				args[i] = m.pop(f)
+			base := len(stack) - nargs - 1
+			recv, ok := stack[base].R.(*Object)
+			if !ok {
+				return m.failAt(f, pc, "null or non-object dereference calling .%s", in.S)
 			}
-			recvVal := m.pop(f)
-			if recvVal.K != ValObj {
-				return m.fail(f, "null or non-object dereference calling .%s", in.S)
-			}
-			args[0] = recvVal
-			mth := m.lookupByName(recvVal.O.Class, in.S)
+			mth := m.lookupByName(recv.Class, in.S)
 			if mth == nil {
-				return m.fail(f, "class %s has no method %s", recvVal.O.Class.Name, in.S)
+				return m.failAt(f, pc, "class %s has no method %s", recv.Class.Name, in.S)
 			}
 			if len(mth.Params) != nargs {
-				return m.fail(f, "dynamic call %s.%s: %d args, want %d",
-					recvVal.O.Class.Name, in.S, nargs, len(mth.Params))
+				return m.failAt(f, pc, "dynamic call %s.%s: %d args, want %d",
+					recv.Class.Name, in.S, nargs, len(mth.Params))
 			}
-			if err := m.call(m.prog.FuncByID(mth.ID), args); err != nil {
-				if th, ok := err.(*Thrown); ok && m.deliver(f, th, f.pc-1) {
-					break
-				}
+			f.pc, f.stack = pc, stack[:base]
+			if err := m.call(m.prog.FuncByID(mth.ID), stack[base:]); err != nil && !m.catch(f, err) {
 				return err
 			}
+			pc, stack = f.pc, f.stack
 
 		case bytecode.OpCallBuiltin:
+			f.pc, f.stack = pc, stack
 			if err := m.callBuiltin(f, types.Builtin(in.A), in.B); err != nil {
 				return err
 			}
+			stack = f.stack
 
 		case bytecode.OpSpawn:
-			declared := m.prog.Sem.MethodByID(in.A)
-			nargs := len(declared.Params)
+			declared := sem.MethodByID(in.A)
+			base := len(stack) - len(declared.Params)
 			var target *bytecode.Function
-			var args []Value
 			if in.B != 0 {
-				args = make([]Value, nargs+1)
-				for i := nargs; i >= 1; i-- {
-					args[i] = m.pop(f)
+				base--
+				recv, ok := stack[base].R.(*Object)
+				if !ok {
+					return m.failAt(f, pc, "null dereference spawning %s", declared.QualifiedName())
 				}
-				recvVal := m.pop(f)
-				if recvVal.K != ValObj {
-					return m.fail(f, "null dereference spawning %s", declared.QualifiedName())
-				}
-				args[0] = recvVal
-				target = m.resolveVirtual(recvVal.O, declared)
+				target = m.resolveVirtual(recv, declared)
 			} else {
-				args = make([]Value, nargs)
-				for i := nargs - 1; i >= 0; i-- {
-					args[i] = m.pop(f)
-				}
 				target = m.prog.FuncByID(in.A)
 			}
+			// The thread reads its arguments on its own goroutine, after
+			// this stack has moved on: copy them.
+			args := slices.Clone(stack[base:])
+			stack = stack[:base]
+			f.pc = pc
 			tid, err := m.spawn(f, target, args)
 			if err != nil {
 				return err
 			}
-			m.push(f, intVal(int64(tid)))
+			stack = append(stack, intVal(int64(tid)))
 
 		case bytecode.OpJoin:
-			hv := m.pop(f)
-			if err := m.join(f, int(hv.I)); err != nil {
-				if th, ok := err.(*Thrown); ok && m.deliver(f, th, f.pc-1) {
-					break
-				}
+			n := len(stack) - 1
+			tid := int(stack[n].I)
+			f.pc, f.stack = pc, stack[:n]
+			if err := m.join(f, tid); err != nil && !m.catch(f, err) {
 				return err
 			}
+			pc, stack = f.pc, f.stack
 
 		case bytecode.OpThrow:
-			v := m.pop(f)
-			if v.K != ValObj {
-				return m.fail(f, "throw of non-object value %s", v)
+			n := len(stack) - 1
+			v := stack[n]
+			obj, ok := v.R.(*Object)
+			if !ok {
+				return m.failAt(f, pc, "throw of non-object value %s", v)
 			}
-			th := &Thrown{Obj: v.O}
-			if m.deliver(f, th, f.pc-1) {
-				break
+			th := &Thrown{Obj: obj}
+			f.pc, f.stack = pc, stack[:n]
+			if !m.deliver(f, th, pc-1) {
+				return th
 			}
-			return th
+			pc, stack = f.pc, f.stack
 
 		case bytecode.OpRet:
+			// Hand the stack back, so the frame pool keeps its capacity.
+			f.stack = stack
 			return nil
 
 		case bytecode.OpRetVal:
-			v := m.pop(f)
+			n := len(stack) - 1
 			if caller != nil {
-				m.push(caller, v)
+				caller.stack = append(caller.stack, stack[n])
 			}
+			f.stack = stack[:n]
 			return nil
 
 		case bytecode.OpMissingReturn:
-			return m.fail(f, "method %s fell off the end without returning a value", f.fn.Name())
+			return m.failAt(f, pc, "method %s fell off the end without returning a value", fn.Name())
 
 		case bytecode.OpLoopEnter:
 			f.loopStack = append(f.loopStack, openLoop{id: in.A, base: -1})
@@ -1229,12 +1294,12 @@ func (m *VM) interpret(f *frame) error {
 		case bytecode.OpPathExit:
 			n := len(f.loopStack)
 			if n == 0 || f.loopStack[n-1].id != in.A || f.loopStack[n-1].base < 0 {
-				return m.fail(f, "path.exit %d without matching path.enter", in.A)
+				return m.failAt(f, pc, "path.exit %d without matching path.enter", in.A)
 			}
 			ol := f.loopStack[n-1]
 			idx := ol.base + f.pathReg + in.B
 			if idx < ol.base || idx >= ol.base+ol.npaths {
-				return m.fail(f, "path.exit %d: path id %d out of range [0,%d)", in.A, f.pathReg+in.B, ol.npaths)
+				return m.failAt(f, pc, "path.exit %d: path id %d out of range [0,%d)", in.A, f.pathReg+in.B, ol.npaths)
 			}
 			m.pathArena[idx]++
 			f.loopStack = f.loopStack[:n-1]
@@ -1249,33 +1314,37 @@ func (m *VM) interpret(f *frame) error {
 			// One finished iteration: count the path, restart at the header.
 			n := len(f.loopStack)
 			if n == 0 || f.loopStack[n-1].base < 0 {
-				return m.fail(f, "path.bump outside a counted loop")
+				return m.failAt(f, pc, "path.bump outside a counted loop")
 			}
 			ol := &f.loopStack[n-1]
 			idx := ol.base + f.pathReg + in.B
 			if idx < ol.base || idx >= ol.base+ol.npaths {
-				return m.fail(f, "path.bump: path id %d out of range [0,%d)", f.pathReg+in.B, ol.npaths)
+				return m.failAt(f, pc, "path.bump: path id %d out of range [0,%d)", f.pathReg+in.B, ol.npaths)
 			}
 			m.pathArena[idx]++
 			f.pathReg = 0
-			f.pc = in.A
+			pc = in.A
 
 		case bytecode.OpPathInc:
 			f.pathReg += in.A
 
 		case bytecode.OpJmpTruePath:
-			if m.pop(f).I != 0 {
+			n := len(stack) - 1
+			if stack[n].I != 0 {
 				f.pathReg += in.B
-				f.pc = in.A
+				pc = in.A
 			}
+			stack = stack[:n]
 		case bytecode.OpJmpFalsePath:
-			if m.pop(f).I == 0 {
+			n := len(stack) - 1
+			if stack[n].I == 0 {
 				f.pathReg += in.B
-				f.pc = in.A
+				pc = in.A
 			}
+			stack = stack[:n]
 
 		default:
-			return m.fail(f, "unknown opcode %s", in.Op)
+			return m.failAt(f, pc, "unknown opcode %s", in.Op)
 		}
 	}
 }
@@ -1297,11 +1366,7 @@ func (m *VM) deliver(f *frame, th *Thrown, atPC int) bool {
 		// static loop scope. Abandoned counted loops flush their counters
 		// (the partial in-flight path is dropped) and restore the path
 		// register they saved.
-		inScope := map[int]bool{}
-		for _, id := range h.LoopScope {
-			inScope[id] = true
-		}
-		for len(f.loopStack) > 0 && !inScope[f.loopStack[len(f.loopStack)-1].id] {
+		for len(f.loopStack) > 0 && !slices.Contains(h.LoopScope, f.loopStack[len(f.loopStack)-1].id) {
 			ol := f.loopStack[len(f.loopStack)-1]
 			f.loopStack = f.loopStack[:len(f.loopStack)-1]
 			if ol.base >= 0 {
@@ -1343,13 +1408,9 @@ func jrnlKey(v Value) (events.ElemKey, events.Entity) {
 	case ValInt, ValBool:
 		return v.I, nil
 	case ValStr:
-		return v.S, nil
-	case ValObj:
-		return nil, v.O
-	case ValArr:
-		return nil, v.A
+		return v.R, nil
 	}
-	return nil, nil
+	return nil, v.Entity()
 }
 
 func (m *VM) lookupByName(cls *types.Class, name string) *types.Method {
@@ -1362,15 +1423,16 @@ func (m *VM) lookupByName(cls *types.Class, name string) *types.Method {
 	return mth
 }
 
+// callBuiltin runs builtin b on the top nargs operands of f's stack,
+// which the interpreter has written back, and pushes its result there.
 func (m *VM) callBuiltin(f *frame, b types.Builtin, nargs int) error {
-	args := make([]Value, nargs)
-	for i := nargs - 1; i >= 0; i-- {
-		args[i] = m.pop(f)
-	}
+	base := len(f.stack) - nargs
+	args := f.stack[base:]
+	f.stack = f.stack[:base]
 	listener := m.cfg.Listener
 	switch b {
 	case types.BuiltinRand:
-		m.push(f, intVal(m.rand(args[0].I)))
+		f.stack = append(f.stack, intVal(m.rand(args[0].I)))
 	case types.BuiltinReadInput:
 		var v int64
 		if m.inPos < len(m.cfg.Input) {
@@ -1380,7 +1442,7 @@ func (m *VM) callBuiltin(f *frame, b types.Builtin, nargs int) error {
 		if m.gate.io {
 			listener.InputRead()
 		}
-		m.push(f, intVal(v))
+		f.stack = append(f.stack, intVal(v))
 	case types.BuiltinWriteOutput:
 		m.Output = append(m.Output, args[0])
 		if m.gate.io {
