@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt build test vet race ring-stress replay-race bench bench-smoke perfbench-smoke fuzz-smoke chaos-smoke service-smoke dist-chaos-smoke bench-service bench-dispatch paper
+.PHONY: check fmt build test vet race replay-race bench bench-smoke perfbench-smoke fuzz-smoke chaos-smoke service-smoke dist-chaos-smoke bench-service bench-dispatch paper
 
 # The tier-1 gate plus formatting and the concurrency-sensitive packages
 # under the race detector. Run before committing.
@@ -20,25 +20,19 @@ test:
 	$(GO) test ./...
 
 # Concurrency-sensitive packages under the race detector: the event
-# transport (ring buffer, work-stealing barrier, and the SPSC ownership
-# guard, which only arms under -race), the core profiler and probe
-# consuming it, the VM (spawn/join thread goroutines), the experiments
-# worker pool that the snapshot registry runs inside, the trace subsystem
-# (its writer runs on a consumer goroutine; the store's concurrent-record
-# reservation), the distributed dispatcher (lease timers, breaker state,
-# and worker keyed locks race against heartbeat streams), and the root
-# package (the events/paths equivalence suite and the threaded
-# transport-equivalence gate, which runs ≥2 concurrent per-thread
-# producers). Vet runs first so the leg is self-contained in CI.
+# transport and the core profiler (its event counter is read from other
+# goroutines mid-run), the probe API (one session per goroutine), the VM
+# (spawn/join thread goroutines), the experiments worker pool that the
+# snapshot registry runs inside, the trace subsystem (parallel replay
+# workers; the store's concurrent-record reservation), the daemon, the
+# distributed dispatcher (lease timers, breaker state, and worker keyed
+# locks race against heartbeat streams), and the root package (the
+# events/paths equivalence suite and the threaded transport-equivalence
+# gate, which runs ≥2 concurrent per-thread producers, each with its own
+# transport). Vet runs first so the leg is self-contained in CI.
 race:
 	$(GO) vet ./...
 	$(GO) test -race . ./internal/events/... ./internal/core ./internal/vm ./internal/experiments/... ./internal/trace/... ./internal/service ./internal/dispatch ./probe
-
-# The ring's cursor protocol under the race detector, repeated: barrier
-# drains racing consumer claims must deliver every record exactly once,
-# in order, and a lost interleaving shows only in some runs.
-ring-stress:
-	$(GO) test -race -count=10 -run ExactlyOnce ./internal/events/pipeline
 
 # The parallel-replay surface under the race detector, repeated: worker
 # fan-out, chunk merging, cancellation, and the fleet differ are exactly
@@ -76,10 +70,12 @@ perfbench-smoke:
 # the checkpoint decoder must reject damage typed, and the path-counter
 # decoder must reject arbitrary table/counter combinations without
 # crashing or miscounting. The seed corpora also run as plain fixtures in
-# `make test`.
+# `make test`. The FuzzReplayV2 leg caps input minimization at 100 runs:
+# at the default 60 s, minimizing the first new-coverage input it finds
+# outlasts the whole 10 s leg.
 fuzz-smoke:
 	$(GO) test -run Fuzz -fuzz='FuzzReplay$$' -fuzztime=10s ./internal/trace
-	$(GO) test -run Fuzz -fuzz=FuzzReplayV2 -fuzztime=10s ./internal/trace
+	$(GO) test -run Fuzz -fuzz=FuzzReplayV2 -fuzztime=10s -fuzzminimizetime=100x ./internal/trace
 	$(GO) test -run Fuzz -fuzz=FuzzCheckpointDecode -fuzztime=10s ./internal/trace
 	$(GO) test -run Fuzz -fuzz=FuzzDecode -fuzztime=10s ./internal/pathdecode
 

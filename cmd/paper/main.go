@@ -10,8 +10,8 @@
 // whole sections; output ordering is deterministic for every -j. The
 // bench subcommand writes machine-readable overhead/sweep timings
 // (including the snapshot-memoization ablation) for perf tracking, plus
-// the event-transport benchmark (synchronous vs pipelined dispatch,
-// single- vs multi-listener, across workload sizes).
+// the event-transport benchmark (three dedicated passes vs one fan-out
+// pass, across workload sizes).
 package main
 
 import (
@@ -335,7 +335,7 @@ func crossover(w io.Writer) error {
 }
 
 func compare(w io.Writer) error {
-	header(w, "Single-pass backend comparison (pipelined event transport)")
+	header(w, "Single-pass backend comparison (event fan-out)")
 	res, err := experiments.Compare(sweep)
 	if err != nil {
 		return err
@@ -344,7 +344,6 @@ func compare(w io.Writer) error {
 	fmt.Fprintf(w, "algorithmic profile: sort steps ≈ %.3g*%s\n", res.SortCoeff, res.SortModel)
 	fmt.Fprintf(w, "CCT baseline:        hottest method (exclusive) %s\n", res.HottestExclusive)
 	fmt.Fprintf(w, "basic-block baseline: hottest block %s\n", res.TopBlock)
-	fmt.Fprintf(w, "pipelined == synchronous (byte-identical): %v\n", res.Identical)
 	if traceOut != "" {
 		return captureTrace(w)
 	}
@@ -452,8 +451,8 @@ type benchPoint struct {
 }
 
 // pipelineReport is the machine-readable transport benchmark written to
-// BENCH_pipeline.json: synchronous vs pipelined wall time, single- vs
-// multi-listener, across workload sizes.
+// BENCH_pipeline.json: three dedicated passes vs one fan-out pass, and the
+// core profiled alone, across workload sizes.
 type pipelineReport struct {
 	benchHeader
 	Seed   uint64          `json:"seed"`
@@ -461,15 +460,13 @@ type pipelineReport struct {
 }
 
 type pipelinePoint struct {
-	Size            int     `json:"size"`
-	Passes          int     `json:"scan_passes"`
-	ThreePassNs     int64   `json:"three_pass_ns"`
-	SyncFanoutNs    int64   `json:"sync_fanout_ns"`
-	PipelinedNs     int64   `json:"pipelined_ns"`
-	SoloSyncNs      int64   `json:"solo_sync_ns"`
-	SoloPipelinedNs int64   `json:"solo_pipelined_ns"`
-	Speedup         float64 `json:"speedup_vs_three_pass"`
-	Identical       bool    `json:"identical"`
+	Size         int     `json:"size"`
+	Passes       int     `json:"scan_passes"`
+	ThreePassNs  int64   `json:"three_pass_ns"`
+	SyncFanoutNs int64   `json:"sync_fanout_ns"`
+	SoloSyncNs   int64   `json:"solo_sync_ns"`
+	Speedup      float64 `json:"speedup_vs_three_pass"`
+	Identical    bool    `json:"identical"`
 }
 
 // replayReport is the machine-readable replay/diff throughput benchmark
@@ -687,15 +684,13 @@ func benchPipeline(out string, now func() int64) error {
 	}
 	for _, p := range pts {
 		rep.Points = append(rep.Points, pipelinePoint{
-			Size:            p.Size,
-			Passes:          p.Passes,
-			ThreePassNs:     p.ThreePassNs,
-			SyncFanoutNs:    p.SyncFanoutNs,
-			PipelinedNs:     p.PipelinedNs,
-			SoloSyncNs:      p.SoloSyncNs,
-			SoloPipelinedNs: p.SoloPipelinedNs,
-			Speedup:         p.Speedup(),
-			Identical:       p.Identical,
+			Size:         p.Size,
+			Passes:       p.Passes,
+			ThreePassNs:  p.ThreePassNs,
+			SyncFanoutNs: p.SyncFanoutNs,
+			SoloSyncNs:   p.SoloSyncNs,
+			Speedup:      p.Speedup(),
+			Identical:    p.Identical,
 		})
 	}
 

@@ -423,9 +423,9 @@ type Profiler struct {
 	etTIDs []int32
 
 	// events counts consumed listener events. It is atomic because
-	// EventCount is read from other goroutines (service stats, quota
-	// charging) while a pipelined consumer is still ticking it; everything
-	// else in the struct stays single-goroutine.
+	// EventCount may be read from other goroutines (service stats, quota
+	// charging) while the run is still ticking it; everything else in
+	// the struct stays single-goroutine.
 	events atomic.Uint64
 
 	// liveBytes estimates the

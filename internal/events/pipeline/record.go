@@ -1,32 +1,17 @@
-// Package pipeline decouples profiling-event production from consumption:
-// the VM (or the probe API) publishes compact fixed-size event records into
-// a bounded single-producer ring buffer, and a fan-out stage feeds N
-// listeners from that one stream, each on its own goroutine with its own
-// cursor into the shared buffer. One execution pass can therefore drive the
-// algorithmic profiler core, the CCT baseline, and the basic-block baseline
-// concurrently — where comparing backends previously re-ran the workload
-// once per listener.
+// Package pipeline is the profiling-event transport: the VM (or a trace
+// reader, on replay) produces compact fixed-size event records, and a
+// fan-out stage hands each record inline, in production order, to every
+// attached listener. One execution pass can therefore
+// drive the algorithmic profiler core, the CCT baseline, the basic-block
+// baseline, the trace writer and the online verifier from one stream,
+// where comparing backends previously re-ran the workload once per
+// listener.
 //
-// Determinism: every consumer walks the same records in publication order,
-// so each listener observes exactly the event sequence it would have seen
-// inline. Two details make the pipelined profiles byte-identical to
-// synchronous ones:
-//
-//   - Clocks are pre-resolved. Each record carries the producer's
-//     instruction counter at publication time; clock-dependent consumers
-//     (the CCT baseline) read the record clock via Consumer.Clock instead
-//     of sampling the live VM counter from another goroutine.
-//
-//   - Heap reads are fenced. Listeners that traverse the live heap (the
-//     profiler core measures input sizes by walking data structures) would
-//     otherwise observe mutations that happen after the event they are
-//     processing. The producer therefore calls Barrier before every heap
-//     write, which publishes pending records and waits until all
-//     heap-reading consumers have drained. Consumers that never touch the
-//     heap (CCT, bbprof) are not waited on and run freely ahead.
-//
-// A Synchronous mode flag keeps inline dispatch — same records, same
-// per-consumer filtering, no goroutines — as the ablation baseline.
+// Each consumer sees exactly the event sequence it would have seen wired
+// directly to the VM, filtered by its own plan. Records carry the
+// producer's instruction counter at publication time, and clock-dependent
+// consumers (the CCT baseline) read it via Consumer.Clock, so a replayed
+// trace reproduces the live timestamps.
 package pipeline
 
 import "algoprof/internal/events"

@@ -9,9 +9,6 @@ import (
 	"algoprof"
 	"algoprof/internal/bbprof"
 	"algoprof/internal/cct"
-	"algoprof/internal/core"
-	"algoprof/internal/events"
-	"algoprof/internal/events/pipeline"
 	"algoprof/internal/instrument"
 	"algoprof/internal/mj/compiler"
 	"algoprof/internal/verify"
@@ -79,15 +76,9 @@ func (b *Backends) TopBlock() string {
 // RunBackends executes src once and feeds all three backends from the one
 // event stream. The VM runs under the union of the consumers' plans and
 // the core consumer filters records down to the optimized plan, so its
-// profile is identical to a dedicated optimized run. pipelined selects
-// the ring-buffer transport; otherwise the same fan-out runs inline (the
-// Synchronous ablation).
-func RunBackends(src string, seed uint64, pipelined bool) (*Backends, error) {
-	// A deep ring with large publish batches: the comparison workloads are
-	// event-dense, and on one CPU every producer stall or consumer wakeup
-	// is a context switch, so fewer/larger handoffs beat the package
-	// defaults (which stay small for lightweight probe sessions).
-	return runBackends(src, seed, backendsConfig(pipelined), false)
+// profile is identical to a dedicated optimized run.
+func RunBackends(src string, seed uint64) (*Backends, error) {
+	return runBackends(src, seed, false)
 }
 
 // RunBackendsVerified is RunBackends with the online invariant verifier
@@ -98,109 +89,51 @@ func RunBackends(src string, seed uint64, pipelined bool) (*Backends, error) {
 // so a bug that desynchronizes one backend surfaces as a typed
 // *verify.Error instead of a silently inconsistent comparison. The
 // benchmark paths stay on the unverified RunBackends.
-func RunBackendsVerified(src string, seed uint64, pipelined bool) (*Backends, error) {
-	return runBackends(src, seed, backendsConfig(pipelined), true)
+func RunBackendsVerified(src string, seed uint64) (*Backends, error) {
+	return runBackends(src, seed, true)
 }
 
-func backendsConfig(pipelined bool) pipeline.Config {
-	return pipeline.Config{
-		Synchronous: !pipelined,
-		BufferSize:  1 << 15,
-		Batch:       2048,
-	}
-}
-
-func runBackends(src string, seed uint64, tcfg pipeline.Config, verified bool) (*Backends, error) {
-	prog, err := compiler.CompileSource(src)
+func runBackends(src string, seed uint64, verified bool) (*Backends, error) {
+	s, err := newBackendSetup(src)
 	if err != nil {
 		return nil, err
 	}
-	insFull, err := instrument.Instrument(prog, instrument.Full)
-	if err != nil {
-		return nil, err
-	}
-	insOpt, err := instrument.Instrument(prog, instrument.Optimized)
-	if err != nil {
-		return nil, err
-	}
-
-	// The VM emits under the union of what any consumer needs: every
-	// method (the CCT baseline) plus the optimized plan's fields, allocs,
-	// arrays and io (the core). Events no consumer would act on — e.g.
-	// accesses to non-recursive value fields, which only the full plan
-	// carries — never enter the stream.
-	union := events.NewEmptyPlan(len(insFull.Plan.MethodEntryExit),
-		len(insFull.Plan.FieldAccess), len(insFull.Plan.AllocClass))
-	for m := range union.MethodEntryExit {
-		union.MethodEntryExit[m] = true
-	}
-	copy(union.FieldAccess, insOpt.Plan.FieldAccess)
-	copy(union.AllocClass, insOpt.Plan.AllocClass)
-	union.Arrays = insOpt.Plan.Arrays
-	union.IO = insOpt.Plan.IO
-
-	tp := pipeline.New(tcfg)
-	coreProf := core.NewProfiler(insOpt, core.Options{})
-	tp.Add("core", coreProf, pipeline.ConsumerOptions{HeapReader: true, Plan: insOpt.Plan})
-	var cctCons *pipeline.Consumer
-	cctProf := cct.New(func() uint64 { return cctCons.Clock() })
-	cctCons = tp.Add("cct", cctProf, pipeline.ConsumerOptions{})
-	// The basic-block counter stays inline on the VM goroutine: the
-	// per-instruction stream is orders of magnitude denser than the event
-	// stream, and the hook is a private dense-slice increment with no heap
-	// reads, so routing it through the ring would swamp the transport win
-	// without buying any isolation.
-	bb := bbprof.New(insFull.Prog)
 	var chk *verify.Checker
 	if verified {
 		// The checker taps the raw (union-plan) stream: the loop events it
 		// sees are exactly the tree's, and its method-entry counts bound the
 		// optimized tree from above while matching the CCT exactly.
 		chk = verify.NewChecker()
-		tp.Add("verify", chk, pipeline.ConsumerOptions{})
+		s.tp.Add(chk, nil)
 	}
-
-	pr := tp.Producer()
-	machine := vm.New(insFull.Prog, vm.Config{
+	pr := s.tp.Producer()
+	// The basic-block counter hooks the VM directly: the per-instruction
+	// stream is orders of magnitude denser than the event stream, and no
+	// other live consumer wants it.
+	machine := vm.New(s.insFull.Prog, vm.Config{
 		Listener:  pr,
-		Plan:      union,
-		InstrHook: bb.Hook,
-		PreWrite:  pr.Barrier,
+		Plan:      s.union,
+		InstrHook: s.bb.Hook,
 		Seed:      seed,
 	})
 	pr.BindClock(&machine.InstrCount)
-	tp.Start()
-	runErr := machine.Run()
-	if cerr := tp.Close(); cerr != nil && runErr == nil {
-		runErr = cerr
+	if err := machine.Run(); err != nil {
+		return nil, err
 	}
-	if runErr != nil {
-		return nil, runErr
-	}
-	coreProf.Finish()
-	cctProf.Finish()
-	if errs := coreProf.Errors(); len(errs) > 0 {
-		return nil, fmt.Errorf("runbackends: internal profiling error: %w", errs[0])
+	b, err := s.finish(machine.InstrCount)
+	if err != nil {
+		return nil, err
 	}
 	if chk != nil {
 		chk.Finish(false)
-		chk.Add(verify.CheckTree(coreProf, false))
-		chk.Add(verify.AgreeStream(chk, coreProf))
-		chk.Add(verify.AgreeCCT(chk, cctProf.Flat()))
+		chk.Add(verify.CheckTree(s.coreProf, false))
+		chk.Add(verify.AgreeStream(chk, s.coreProf))
+		chk.Add(verify.AgreeCCT(chk, s.cctProf.Flat()))
 		if err := chk.Err(); err != nil {
 			return nil, err
 		}
 	}
-
-	profile := algoprof.FromProfiler(coreProf)
-	profile.Instructions = machine.InstrCount
-	return &Backends{
-		Profile:      profile,
-		CCT:          cctProf,
-		BBRun:        bb.Snapshot(0),
-		Instructions: machine.InstrCount,
-		ins:          insFull,
-	}, nil
+	return b, nil
 }
 
 // CompareResult is the cmd/paper "compare" section: all three backends on
@@ -215,32 +148,24 @@ type CompareResult struct {
 	// TopBlock is the basic-block baseline's hottest block.
 	TopBlock string
 	// Passes is how many workload executions the comparison used (1; the
-	// pre-pipeline comparison needed 3).
+	// comparison before the shared event stream needed 3).
 	Passes int
-	// Identical reports that the pipelined pass produced byte-identical
-	// backend outputs to an inline synchronous fan-out pass.
-	Identical bool
 }
 
-// Compare runs the backend comparison pipelined, re-runs it synchronously,
-// and checks the outputs match byte for byte.
+// Compare runs the backend comparison: one execution pass feeds all three
+// backends.
 func Compare(sw Sweep) (*CompareResult, error) {
 	src := workloads.RunningExample(workloads.Random, sw.MaxSize, sw.Step, sw.Reps)
-	piped, err := RunBackends(src, sw.Seed, true)
-	if err != nil {
-		return nil, err
-	}
-	inline, err := RunBackends(src, sw.Seed, false)
+	b, err := RunBackends(src, sw.Seed)
 	if err != nil {
 		return nil, err
 	}
 	res := &CompareResult{
-		HottestExclusive: piped.HottestExclusive(),
-		TopBlock:         piped.TopBlock(),
+		HottestExclusive: b.HottestExclusive(),
+		TopBlock:         b.TopBlock(),
 		Passes:           1,
-		Identical:        BackendsIdentical(piped, inline),
 	}
-	if alg := piped.Profile.Find("List.sort/loop1"); alg != nil {
+	if alg := b.Profile.Find("List.sort/loop1"); alg != nil {
 		for _, cf := range alg.CostFunctions {
 			if strings.Contains(cf.InputLabel, "Node") {
 				res.SortModel, res.SortCoeff = cf.Model, cf.Coeff
@@ -253,21 +178,11 @@ func Compare(sw Sweep) (*CompareResult, error) {
 	return res, nil
 }
 
-// BackendsIdentical compares two combined runs' rendered outputs byte for
-// byte: profile tree + JSON, CCT render, and basic-block counts.
-func BackendsIdentical(a, b *Backends) bool {
-	return BackendsFingerprint(a) == BackendsFingerprint(b)
-}
-
 // BackendsFingerprint renders every backend output of a combined run into
 // one string for byte-identity comparison.
 func BackendsFingerprint(b *Backends) string {
 	var sb strings.Builder
-	sb.WriteString(b.Profile.Tree())
-	sb.WriteByte('\n')
-	js, _ := b.Profile.JSON()
-	sb.Write(js)
-	sb.WriteByte('\n')
+	sb.WriteString(profileFingerprint(b.Profile))
 	sb.WriteString(b.CCTRender())
 	sb.WriteByte('\n')
 	locs := make([]bbprof.Location, 0, len(b.BBRun.Counts))
@@ -287,6 +202,13 @@ func BackendsFingerprint(b *Backends) string {
 	return sb.String()
 }
 
+// profileFingerprint renders a profile's tree and JSON, each followed by a
+// newline, for byte-identity comparison.
+func profileFingerprint(p *algoprof.Profile) string {
+	js, _ := p.JSON()
+	return p.Tree() + "\n" + string(js) + "\n"
+}
+
 // ---------------------------------------------------------------------------
 // Pipeline benchmark (BENCH_pipeline.json).
 
@@ -299,23 +221,21 @@ type PipelinePoint struct {
 	// scan work and sort work keep a fixed ratio across the sweep.
 	Passes int
 	// ThreePassNs runs the workload three times, once per backend, each
-	// with inline dispatch — the pre-pipeline comparison cost.
+	// with its backend wired directly to the VM — the comparison cost
+	// without a shared event stream.
 	ThreePassNs int64
 	// SyncFanoutNs is one pass with inline fan-out to all three backends.
 	SyncFanoutNs int64
-	// PipelinedNs is one pass with the ring-buffer transport fanning out
-	// to all three backends.
-	PipelinedNs int64
-	// SoloSyncNs / SoloPipelinedNs profile with the core as only listener
-	// (inline vs transport) — the transport's own overhead.
-	SoloSyncNs      int64
-	SoloPipelinedNs int64
+	// SoloSyncNs profiles with the core wired directly to the VM as the
+	// only listener.
+	SoloSyncNs int64
 	// SpeedupRatio is the median over rounds of the per-round
-	// three-pass/pipelined ratio. Comparing legs of the same round makes
+	// three-pass/fan-out ratio. Comparing legs of the same round makes
 	// the ratio robust to machine-speed drift between rounds, which
 	// best-of-N leg times are not.
 	SpeedupRatio float64
-	// Identical reports byte-identical pipelined vs synchronous outputs.
+	// Identical reports that the fan-out's core profile is byte-identical
+	// to the dedicated run's in every round.
 	Identical bool
 }
 
@@ -324,18 +244,18 @@ type PipelinePoint struct {
 func (p PipelinePoint) Speedup() float64 { return p.SpeedupRatio }
 
 // PipelineBench measures the transport configurations across workload
-// sizes. Per point it runs several interleaved rounds of all five legs;
+// sizes. Per point it runs several interleaved rounds of all three legs;
 // the reported leg times are each leg's best round (the floor estimate),
 // and the headline speedup is the median per-round ratio, which holds up
 // when the machine's speed drifts between rounds.
 //
 // The workload is the sort-once-query-many shape (RunningExampleScanned):
 // each constructed list is sorted once and then scanned 8*size times. This
-// is the regime the transport targets — the dedicated CCT and basic-block
-// baseline passes each re-execute the whole scan phase, so the single-pass
-// fan-out saves two full re-executions; the write-heavy regime, where the
-// core's snapshot traversals dominate every configuration, is covered by
-// the overhead sweep (BENCH_overhead.json).
+// is the regime the shared stream targets — the dedicated CCT and
+// basic-block baseline passes each re-execute the whole scan phase, so the
+// single-pass fan-out saves two full re-executions; the write-heavy
+// regime, where the core's snapshot traversals dominate every
+// configuration, is covered by the overhead sweep (BENCH_overhead.json).
 func PipelineBench(sizes []int, seed uint64, now func() int64) ([]PipelinePoint, error) {
 	const rounds = 7
 	out := make([]PipelinePoint, len(sizes))
@@ -366,9 +286,10 @@ func PipelineBench(sizes []int, seed uint64, now func() int64) ([]PipelinePoint,
 		pt := PipelinePoint{Size: size, Passes: passes, Identical: true}
 		ratios := make([]float64, 0, rounds)
 		for round := 0; round < rounds; round++ {
-			// Leg 1: three separate inline passes (core, cct, bb).
+			// Leg 1: three separate direct-wired passes (core, cct, bb).
+			var dedicated *algoprof.Profile
 			threeNs, err := leg(&pt.ThreePassNs, func() error {
-				if _, err := algoprof.RunProgram(prog, algoprof.Config{Seed: seed}); err != nil {
+				if dedicated, err = algoprof.RunProgram(prog, algoprof.Config{Seed: seed}); err != nil {
 					return err
 				}
 				if err := cctPass(src, seed); err != nil {
@@ -379,34 +300,22 @@ func PipelineBench(sizes []int, seed uint64, now func() int64) ([]PipelinePoint,
 			if err != nil {
 				return err
 			}
-			var inline, piped *Backends
-			if _, err = leg(&pt.SyncFanoutNs, func() error {
-				inline, err = RunBackends(src, seed, false)
-				return err
-			}); err != nil {
-				return err
-			}
-			pipedNs, err := leg(&pt.PipelinedNs, func() error {
-				piped, err = RunBackends(src, seed, true)
+			var fan *Backends
+			fanNs, err := leg(&pt.SyncFanoutNs, func() error {
+				fan, err = RunBackends(src, seed)
 				return err
 			})
 			if err != nil {
 				return err
 			}
-			ratios = append(ratios, float64(threeNs)/float64(pipedNs))
+			ratios = append(ratios, float64(threeNs)/float64(fanNs))
 			if _, err = leg(&pt.SoloSyncNs, func() error {
 				_, err := algoprof.RunProgram(prog, algoprof.Config{Seed: seed})
 				return err
 			}); err != nil {
 				return err
 			}
-			if _, err = leg(&pt.SoloPipelinedNs, func() error {
-				_, err := algoprof.RunProgram(prog, algoprof.Config{Seed: seed, Pipelined: true})
-				return err
-			}); err != nil {
-				return err
-			}
-			if !BackendsIdentical(inline, piped) {
+			if profileFingerprint(fan.Profile) != profileFingerprint(dedicated) {
 				pt.Identical = false
 			}
 		}

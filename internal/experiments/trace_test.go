@@ -38,7 +38,7 @@ func TestRecordReplayIdentical(t *testing.T) {
 			t.Errorf("compress=%v: replayed backends differ from recorded run\nlive:\n%s\nreplayed:\n%s",
 				compress, liveFP, replayFP)
 		}
-		plain, err := RunBackends(src, 1, false)
+		plain, err := RunBackends(src, 1)
 		if err != nil {
 			t.Fatalf("RunBackends: %v", err)
 		}

@@ -160,7 +160,7 @@ func RunJob(ctx context.Context, st *store.Store, spec ExecSpec, progress func(u
 	}
 
 	if err == nil && spec.Backends {
-		if b, berr := experiments.RunBackendsVerified(spec.Program, seedOf(cfg.Seed), true); berr == nil {
+		if b, berr := experiments.RunBackendsVerified(spec.Program, seedOf(cfg.Seed)); berr == nil {
 			out.Backends = &BackendSummary{
 				Fingerprint:   experiments.BackendsFingerprint(b),
 				HottestMethod: b.HottestExclusive(),
@@ -183,9 +183,7 @@ func RunJob(ctx context.Context, st *store.Store, spec ExecSpec, progress func(u
 			}
 			out.ProfileJSON = data
 		}
-		// EventCount sums the main profiler and every spawned thread's, and
-		// reads atomically — safe even if a salvaged run's pipeline consumer
-		// was still winding down when the profile was assembled.
+		// EventCount sums the main profiler and every spawned thread's.
 		out.Events = prof.EventCount()
 		out.Degraded = out.Degraded || prof.Degraded
 		out.DegradedReasons = prof.DegradedReasons

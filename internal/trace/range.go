@@ -149,7 +149,8 @@ func (r *Reader) parseChunk(d *frameDecoder, lo, hi int, free chan []pipeline.Re
 // concurrently into record buffers, and a single merger then binds entity
 // ids against one shadow heap and dispatches strictly in recorded order, so
 // a listener that walks the entity graph at record k still observes exactly
-// the sequential heap state at k (the pipeline Barrier invariant).
+// the sequential heap state at k (every heap mutation is applied before
+// its record is dispatched).
 //
 // The first failing chunk cancels its siblings through the context; the
 // merger surfaces that first error in stream order. In-flight chunks are

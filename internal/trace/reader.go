@@ -399,11 +399,11 @@ func (d *frameDecoder) release() {
 }
 
 // Replay decodes every data frame in order and hands each reconstructed
-// record to dispatch — typically a Synchronous pipeline Transport's
-// Dispatch method with the offline backends attached. Heap-journal records
-// mutate the shadow heap before being dispatched, so a listener processing
-// record k observes exactly the heap state the live listener saw at
-// record k (the pipeline Barrier invariant). As with a pipeline.RecordTap,
+// record to dispatch — typically a pipeline Transport's Dispatch method
+// with the offline backends attached. Every heap mutation is applied to
+// the shadow heap before its record is dispatched, so a listener
+// processing record k observes exactly the heap state the live listener
+// saw at record k. As with a pipeline.RecordTap,
 // the record is valid only for the duration of the call: the reader
 // decodes the next event into it. The same holds for ReplayRange and
 // ReplayParallel.
@@ -638,9 +638,10 @@ func parseBody(b []byte, pos int, rec *pipeline.Record, strs []string) (int, err
 }
 
 // bindBody resolves a parsed record's entity ids against (and mutates) the
-// shadow heap, filling E1/E2. It must run in stream order — it is the
-// replay half of the pipeline Barrier invariant: a listener processing
-// record k observes exactly the heap state the live listener saw there.
+// shadow heap, filling E1/E2. It must run in stream order, so every heap
+// mutation is applied before its record is dispatched: a listener
+// processing record k observes exactly the heap state the live listener
+// saw there.
 func bindBody(heap shadowHeap, rec *pipeline.Record) error {
 	switch rec.Op {
 	case pipeline.OpFieldGet, pipeline.OpArrayLoad, pipeline.OpAlloc:

@@ -85,8 +85,8 @@ type vframe struct {
 
 // Checker validates the event stream online. It implements
 // pipeline.RecordTap (the transport routes every raw record to it) and
-// events.Listener (as a no-op, so AddConsumer accepts it). Not
-// goroutine-safe; the transport delivers records from one consumer
+// events.Listener (as a no-op, so Transport.Add accepts it). Not
+// goroutine-safe; the transport delivers records inline on the producing
 // goroutine, matching every other consumer's contract.
 type Checker struct {
 	events.NopListener
@@ -229,7 +229,7 @@ func remove(s *[]int, id int) bool {
 // Finish runs the end-of-stream checks. openOK tolerates unclosed frames
 // and loops — the footprint of a truncated trace, where the stream is a
 // legitimate prefix; on a complete stream every entry must have its exit.
-// Call once, after the transport's Barrier or Close guarantees delivery.
+// Call once, after the last record has been delivered.
 func (c *Checker) Finish(openOK bool) {
 	if c.finished {
 		return

@@ -218,7 +218,7 @@ class Main {
 
 // TestSpawnRequiresSessionProvider: a profiled run (Listener set) must
 // refuse to spawn without a per-thread session provider — otherwise two
-// threads would share one single-producer listener.
+// threads would share one single-goroutine listener.
 func TestSpawnRequiresSessionProvider(t *testing.T) {
 	prog, err := compiler.CompileSource(`
 class Main {

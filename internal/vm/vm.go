@@ -23,13 +23,6 @@ type Config struct {
 	// InstrHook, if non-nil, is called before every executed instruction
 	// with the method id and pc. Used by the basic-block baseline profiler.
 	InstrHook func(methodID, pc int)
-	// PreWrite, if non-nil, is called immediately before each heap
-	// mutation (field put, array element store). A pipelined event
-	// transport uses it as a barrier: asynchronous listeners that traverse
-	// the live heap must drain already-published events before the heap
-	// changes underneath them. Fresh allocations need no barrier — no
-	// published event can reach a not-yet-allocated entity.
-	PreWrite func()
 	// Journal, if non-nil, receives every entity birth and indexed array
 	// element store regardless of Plan. The trace recorder uses it to
 	// rebuild an exact shadow heap offline; non-recording runs leave it
@@ -59,7 +52,7 @@ type Config struct {
 	Watchdog func() error
 	// SpawnSession, if non-nil, provides each spawned thread's profiling
 	// session, keyed by its deterministic thread id. A thread never shares
-	// its parent's Listener/Journal/PreWrite — those are single-goroutine
+	// its parent's Listener/Journal — those are single-goroutine
 	// by contract — so a VM with a Listener but no SpawnSession rejects
 	// OpSpawn with a runtime error rather than racing two threads through
 	// one listener. Returning a nil session runs that thread unprofiled.
@@ -67,8 +60,8 @@ type Config struct {
 }
 
 // ThreadSession is the per-thread profiling harness a spawned VM thread
-// runs under: its own listener (typically a dedicated producer ring
-// feeding a per-thread profiler), journal, and heap barrier.
+// runs under: its own listener (a per-thread profiler, or a per-thread
+// transport feeding one) and journal.
 type ThreadSession struct {
 	// Listener receives the thread's profiling events.
 	Listener events.Listener
@@ -76,19 +69,14 @@ type ThreadSession struct {
 	Plan *events.Plan
 	// Journal receives the thread's entity births and element stores.
 	Journal events.Journal
-	// PreWrite is the thread's own heap barrier — the deterministic merge
-	// point: it drains the thread's published events before each of its
-	// heap mutations, so cross-ring consumers never observe a heap newer
-	// than their stream.
-	PreWrite func()
 	// NumSites sizes the thread's first-touch table (paths mode).
 	NumSites int
 	// BindClock, if non-nil, is handed the thread's instruction counter
 	// before it starts (pipeline producers stamp events with it).
 	BindClock func(clock *uint64)
 	// Close is called on the thread's own goroutine after it terminates,
-	// with all its events emitted; a per-thread transport drains and
-	// closes here. Its error surfaces as the thread's failure.
+	// with all its events emitted; a per-thread trace writer is sealed
+	// here. Its error surfaces as the thread's failure.
 	Close func() error
 }
 
@@ -635,7 +623,6 @@ func (m *VM) spawn(f *frame, target *bytecode.Function, args []Value) (int, erro
 	ccfg.Listener = nil
 	ccfg.Plan = nil
 	ccfg.Journal = nil
-	ccfg.PreWrite = nil
 	ccfg.InstrHook = nil
 	ccfg.Input = nil
 	ccfg.NumSites = 0
@@ -647,7 +634,6 @@ func (m *VM) spawn(f *frame, target *bytecode.Function, args []Value) (int, erro
 			ccfg.Listener = sess.Listener
 			ccfg.Plan = sess.Plan
 			ccfg.Journal = sess.Journal
-			ccfg.PreWrite = sess.PreWrite
 			ccfg.NumSites = sess.NumSites
 			sessClose = sess.Close
 			bindClock = sess.BindClock
@@ -853,7 +839,6 @@ func (m *VM) interpret(f *frame) error {
 	listener := m.cfg.Listener
 	hook := m.cfg.InstrHook
 	g := &m.gate
-	preWrite := m.cfg.PreWrite
 	journal := m.cfg.Journal
 	var caller *frame
 	if len(m.frames) >= 2 {
@@ -930,9 +915,6 @@ func (m *VM) interpret(f *frame) error {
 			if !ok {
 				return m.failAt(f, pc, "null dereference writing %s", fld.QualifiedName())
 			}
-			if preWrite != nil {
-				preWrite()
-			}
 			recv.Fields[fld.Slot] = val
 			if g.field[fld.ID] {
 				if in.B != 0 && m.pl != nil {
@@ -968,9 +950,6 @@ func (m *VM) interpret(f *frame) error {
 			fld := recv.Class.LookupField(in.S)
 			if fld == nil {
 				return m.failAt(f, pc, "class %s has no field %s", recv.Class.Name, in.S)
-			}
-			if preWrite != nil {
-				preWrite()
 			}
 			recv.Fields[fld.Slot] = val
 			if g.field[fld.ID] {
@@ -1029,9 +1008,6 @@ func (m *VM) interpret(f *frame) error {
 			}
 			if idx < 0 || idx >= int64(len(arr.Elems)) {
 				return m.failAt(f, pc, "array index %d out of bounds (len %d)", idx, len(arr.Elems))
-			}
-			if preWrite != nil {
-				preWrite()
 			}
 			arr.Elems[idx] = val
 			if journal != nil {

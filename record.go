@@ -66,7 +66,7 @@ func RecordProgramContext(ctx context.Context, prog *bytecode.Program, cfg Confi
 // spawn threads: w receives the main thread's trace, and sink opens one
 // additional destination per spawned thread id. Each thread's event
 // stream — its own heap journal included — is recorded by the thread's
-// own trace writer at its own heap barrier, so per-thread traces replay
+// own trace writer, so per-thread traces replay
 // independently and byte-identically; the run store names them
 // trace-t<tid>.bin and lists the ids in the manifest.
 func RecordProgramSinkContext(ctx context.Context, prog *bytecode.Program, cfg Config, w io.Writer, topts trace.WriterOptions, sink ThreadTraceSink) (*Profile, error) {
@@ -82,33 +82,30 @@ func RecordProgramSinkContext(ctx context.Context, prog *bytecode.Program, cfg C
 	}
 	prof := core.NewProfiler(ins, coreOptions(cfg))
 
-	// Recording routes events through a synchronous transport so the trace
-	// writer taps the same stream the profiler consumes; the VM's journal
+	// Recording routes events through a transport so the trace writer
+	// taps the same stream the profiler consumes; the VM's journal
 	// hook adds the entity births and element stores that replay needs to
 	// rebuild the heap.
-	tp := pipeline.New(pipeline.Config{Synchronous: true})
-	tp.Add("core", prof, pipeline.ConsumerOptions{HeapReader: true, Plan: ins.Plan})
+	tp := pipeline.New()
+	tp.Add(prof, ins.Plan)
 	if topts.MaxBytes == 0 {
 		topts.MaxBytes = cfg.Limits.MaxTraceBytes
 	}
 	tw := trace.NewWriter(w, topts)
-	tp.Add("trace", tw, pipeline.ConsumerOptions{})
+	tp.Add(tw, nil)
 	var chk *verify.Checker
 	if cfg.Verify {
 		chk = verify.NewChecker()
-		tp.Add("verify", chk, pipeline.ConsumerOptions{})
+		tp.Add(chk, nil)
 	}
 	pr := tp.Producer()
 
-	threads := newThreadSessions(ins, cfg, false)
-	threads.sink = sink
-	threads.topts = topts
+	threads := &threadSessions{ins: ins, cfg: cfg, sink: sink, topts: topts}
 
 	vmCfg := vm.Config{
 		Listener: pr,
 		Plan:     ins.Plan,
 		Journal:  pr,
-		PreWrite: pr.Barrier,
 		Seed:     seedOf(cfg),
 		Input:    cfg.Input,
 		MaxSteps: cfg.MaxSteps,
@@ -119,11 +116,7 @@ func RecordProgramSinkContext(ctx context.Context, prog *bytecode.Program, cfg C
 	}
 	machine := vm.New(ins.Prog, vmCfg)
 	pr.BindClock(&machine.InstrCount)
-	tp.Start()
 	extra, runErr := triageRunError(machine.Run())
-	if cerr := tp.Close(); cerr != nil && runErr == nil {
-		runErr = cerr
-	}
 	if runErr != nil && interrupted(runErr) {
 		// Leave the partial trace on disk in its crash shape; the caller
 		// keeps what replays and learns the run was cut short.
@@ -250,14 +243,13 @@ func replayThreads(ctx context.Context, prog *bytecode.Program, cfg Config, r *t
 	for _, tid := range tids {
 		tr := threadTraces[tid]
 		prof := core.NewProfiler(ins, coreOptions(cfg))
-		tp := pipeline.New(pipeline.Config{Synchronous: true})
-		tp.Add("core", prof, pipeline.ConsumerOptions{HeapReader: true, Plan: ins.Plan})
+		tp := pipeline.New()
+		tp.Add(prof, ins.Plan)
 		var chk *verify.Checker
 		if cfg.Verify {
 			chk = verify.NewChecker()
-			tp.Add("verify", chk, pipeline.ConsumerOptions{})
+			tp.Add(chk, nil)
 		}
-		tp.Start()
 		if err := strat(tr)(ctx, tp.Dispatch); err != nil {
 			return nil, fmt.Errorf("thread %d: %w", tid, err)
 		}
@@ -287,14 +279,13 @@ func replayProgram(ctx context.Context, prog *bytecode.Program, cfg Config, r *t
 		return nil, err
 	}
 	prof := core.NewProfiler(ins, coreOptions(cfg))
-	tp := pipeline.New(pipeline.Config{Synchronous: true})
-	tp.Add("core", prof, pipeline.ConsumerOptions{HeapReader: true, Plan: ins.Plan})
+	tp := pipeline.New()
+	tp.Add(prof, ins.Plan)
 	var chk *verify.Checker
 	if cfg.Verify {
 		chk = verify.NewChecker()
-		tp.Add("verify", chk, pipeline.ConsumerOptions{})
+		tp.Add(chk, nil)
 	}
-	tp.Start()
 	truncated := r.Stats().Truncated
 	if err := replay(ctx, tp.Dispatch); err != nil {
 		return nil, err

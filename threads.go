@@ -24,17 +24,15 @@ type ThreadTraceSink func(tid int) (io.WriteCloser, error)
 // threadSessions fabricates one profiler session per spawned VM thread
 // and keeps them registered for report-time merging. Each thread gets
 // its own core profiler (its own repetition tree and snapshot registry)
-// and, when the run is pipelined, verified, or recorded, its own
-// single-producer transport — the SPSC rings stay single-producer
-// because no ring is ever shared between threads. The per-thread trees
-// are merged into the main profile only after every thread has
-// terminated, with algorithm names prefixed "t<tid>:".
+// and, when the run is verified or recorded, its own transport — no
+// producer is ever shared between threads. The per-thread trees are
+// merged into the main profile only after every thread has terminated,
+// with algorithm names prefixed "t<tid>:".
 type threadSessions struct {
-	ins       *instrument.Instrumented
-	cfg       Config
-	pipelined bool            // spin per-thread consumer goroutines
-	sink      ThreadTraceSink // non-nil in record mode
-	topts     trace.WriterOptions
+	ins   *instrument.Instrumented
+	cfg   Config
+	sink  ThreadTraceSink // non-nil in record mode
+	topts trace.WriterOptions
 
 	mu       sync.Mutex
 	sessions []*threadSession
@@ -57,10 +55,6 @@ type threadSession struct {
 	extraReasons []string
 }
 
-func newThreadSessions(ins *instrument.Instrumented, cfg Config, pipelined bool) *threadSessions {
-	return &threadSessions{ins: ins, cfg: cfg, pipelined: pipelined}
-}
-
 // spawnSession implements vm.Config.SpawnSession. It is called from the
 // spawning thread's goroutine, so registration is mutex-protected; the
 // session it returns is used only by the new thread's goroutine.
@@ -70,7 +64,7 @@ func (ts *threadSessions) spawnSession(tid int) *vm.ThreadSession {
 	ts.sessions = append(ts.sessions, s)
 	ts.mu.Unlock()
 
-	if !ts.pipelined && !ts.cfg.Verify && ts.sink == nil {
+	if !ts.cfg.Verify && ts.sink == nil {
 		// Direct wiring: the thread's profiler is its listener.
 		return &vm.ThreadSession{
 			Listener: s.prof,
@@ -79,12 +73,8 @@ func (ts *threadSessions) spawnSession(tid int) *vm.ThreadSession {
 		}
 	}
 
-	tp := pipeline.New(pipeline.Config{Synchronous: !ts.pipelined})
-	copts := pipeline.ConsumerOptions{HeapReader: true}
-	if !ts.pipelined {
-		copts.Plan = ts.ins.Plan
-	}
-	tp.Add("core", s.prof, copts)
+	tp := pipeline.New()
+	tp.Add(s.prof, ts.ins.Plan)
 	var wc io.WriteCloser
 	if ts.sink != nil {
 		w, err := ts.sink(tid)
@@ -96,48 +86,39 @@ func (ts *threadSessions) spawnSession(tid int) *vm.ThreadSession {
 		} else {
 			wc = w
 			s.tw = trace.NewWriter(w, ts.topts)
-			tp.Add("trace", s.tw, pipeline.ConsumerOptions{})
+			tp.Add(s.tw, nil)
 		}
 	}
 	if ts.cfg.Verify {
 		s.chk = verify.NewChecker()
-		tp.Add("verify", s.chk, pipeline.ConsumerOptions{})
+		tp.Add(s.chk, nil)
 	}
 	pr := tp.Producer()
 	sess := &vm.ThreadSession{
 		Listener: pr,
 		Plan:     ts.ins.Plan,
-		PreWrite: pr.Barrier,
 		NumSites: ts.ins.NumSites(),
 		BindClock: func(c *uint64) {
 			s.clock = c
 			pr.BindClock(c)
-			tp.Start()
-		},
-		Close: func() error {
-			// Runs on the thread's goroutine after it terminates: drain the
-			// thread's transport, stamp and seal its trace.
-			err := tp.Close()
-			if s.tw != nil {
-				if s.clock != nil {
-					s.tw.SetInstructions(*s.clock)
-				}
-				if terr := s.tw.Close(); err == nil {
-					err = terr
-				}
-			}
-			if wc != nil {
-				if cerr := wc.Close(); err == nil {
-					err = cerr
-				}
-			}
-			return err
 		},
 	}
 	if ts.cfg.Verify || s.tw != nil {
 		// The heap journal feeds the verifier's shadow heap and the trace's
 		// replayable entity records.
 		sess.Journal = pr
+	}
+	if s.tw != nil {
+		// Runs on the thread's goroutine after it terminates: stamp and
+		// seal its trace.
+		sess.Close = func() error {
+			s.tw.SetInstructions(*s.clock)
+			err := s.tw.Close()
+			if cerr := wc.Close(); err == nil {
+				err = cerr
+			}
+			return err
+		}
 	}
 	return sess
 }

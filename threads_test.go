@@ -12,12 +12,11 @@ import (
 	"algoprof/internal/workloads"
 )
 
-// TestThreadedRunTransportEquivalence is the tentpole's determinism gate:
-// a program that spawns VM threads must produce the byte-identical
-// profile whether the per-thread sessions are wired directly, pipelined
-// over per-thread SPSC rings, verified, or both — scheduling may vary,
-// the report may not. Run under -race this also exercises ≥2 concurrent
-// per-thread producers.
+// TestThreadedRunTransportEquivalence is the threaded determinism gate: a
+// program that spawns VM threads must produce the byte-identical profile
+// whether the per-thread sessions are wired directly or through verified
+// per-thread transports — scheduling may vary, the report may not. Run
+// under -race this also exercises ≥2 concurrent per-thread producers.
 func TestThreadedRunTransportEquivalence(t *testing.T) {
 	src := workloads.Threaded(2, 20)
 	var base []byte
@@ -26,9 +25,7 @@ func TestThreadedRunTransportEquivalence(t *testing.T) {
 		cfg  algoprof.Config
 	}{
 		{"direct", algoprof.Config{}},
-		{"pipelined", algoprof.Config{Pipelined: true}},
 		{"verified", algoprof.Config{Verify: true}},
-		{"pipelined-verified", algoprof.Config{Pipelined: true, Verify: true}},
 	} {
 		prof, err := algoprof.Run(src, tc.cfg)
 		if err != nil {

@@ -109,8 +109,8 @@ class Main {
 }`
 
 // TestVerifyCleanRuns: the online verifier must pass every corpus program
-// on all three paths — synchronous run, pipelined run, and record — and
-// the verified profile must be identical to the unverified one.
+// on every path — live run, record, and replay — and the verified profile
+// must be identical to the unverified one.
 func TestVerifyCleanRuns(t *testing.T) {
 	for name, src := range verifyCorpus() {
 		t.Run(name, func(t *testing.T) {
@@ -118,21 +118,13 @@ func TestVerifyCleanRuns(t *testing.T) {
 			if err != nil {
 				t.Fatalf("baseline run: %v", err)
 			}
-			for _, mode := range []struct {
-				label string
-				cfg   algoprof.Config
-			}{
-				{"sync", algoprof.Config{Verify: true}},
-				{"pipelined", algoprof.Config{Verify: true, Pipelined: true}},
-			} {
-				p, err := algoprof.Run(src, mode.cfg)
-				if err != nil {
-					t.Fatalf("%s verified run: %v", mode.label, err)
-				}
-				assertSameAlgorithms(t, mode.label, base, p)
+			p, err := algoprof.Run(src, algoprof.Config{Verify: true})
+			if err != nil {
+				t.Fatalf("verified run: %v", err)
 			}
+			assertSameAlgorithms(t, "run", base, p)
 			var buf bytes.Buffer
-			p, err := algoprof.Record(src, algoprof.Config{Verify: true}, &buf, trace.WriterOptions{})
+			p, err = algoprof.Record(src, algoprof.Config{Verify: true}, &buf, trace.WriterOptions{})
 			if err != nil {
 				t.Fatalf("verified record: %v", err)
 			}
