@@ -150,6 +150,18 @@ func TestArraySnapshotCapacityVsUnique(t *testing.T) {
 	if s.Size(UniqueElements) != 3 {
 		t.Errorf("unique size = %d, want 3", s.Size(UniqueElements))
 	}
+
+	// The same rule at registry level, on repeated strings: the registry
+	// measures the distinct count under UniqueElements and the slot count
+	// under Capacity.
+	strs := &fakeArr{id: 2, typ: "String[]", cap: 8,
+		keys: []events.ElemKey{"x", "y", "x", "z", "y", "x"}}
+	if got := NewRegistry(rt(0), UniqueElements).Observe(strs).Size; got != 3 {
+		t.Errorf("registry unique size = %d, want 3", got)
+	}
+	if got := NewRegistry(rt(0), Capacity).Observe(strs).Size; got != 8 {
+		t.Errorf("registry capacity size = %d, want 8", got)
+	}
 }
 
 func TestMultiDimArrayCapacity(t *testing.T) {
@@ -257,6 +269,34 @@ func TestReallocatedStringArrayUnifies(t *testing.T) {
 	}
 	if r.Input(a.InputID).MaxSize != 8 {
 		t.Errorf("MaxSize = %d, want 8", r.Input(a.InputID).MaxSize)
+	}
+}
+
+// TestRewalkClaimsNewlyStoredStrings pins the claim rule for string keys:
+// a re-walk of an already-claimed array claims every string stored into it
+// since the last walk, so a later fresh array holding only one of those
+// strings joins the same input. Several strings are stored at once so that
+// claiming any subset of them fails.
+func TestRewalkClaimsNewlyStoredStrings(t *testing.T) {
+	for _, strat := range []Strategy{Capacity, UniqueElements} {
+		r := NewRegistryWith(rt(0), strat, SomeElements)
+		arr := &fakeArr{id: 1, typ: "String[]", cap: 8,
+			keys: []events.ElemKey{"a", "b", "a"}}
+		first := r.Observe(arr)
+		arr.keys = append(arr.keys, "c", "d", "b", "e", "f")
+		r.NoteWriteTo(arr)
+		if again := r.Observe(arr); r.Find(again.InputID) != r.Find(first.InputID) {
+			t.Fatalf("%v: re-walk of a claimed array left its input", strat)
+		}
+		for i, s := range []string{"a", "b", "c", "d", "e", "f"} {
+			fresh := &fakeArr{id: uint64(10 + i), typ: "String[]", cap: 1, keys: []events.ElemKey{s}}
+			if got := r.Observe(fresh); r.Find(got.InputID) != r.Find(first.InputID) {
+				t.Errorf("%v: fresh array holding only %q is a new input, want the array's input", strat, s)
+			}
+		}
+		if n := len(r.CanonicalIDs()); n != 1 {
+			t.Errorf("%v: canonical inputs = %d, want 1", strat, n)
+		}
 	}
 }
 
