@@ -98,20 +98,20 @@ func Classify(p *core.Profiler, res *group.Result) map[*group.Algorithm]*Algorit
 	// by a member node and now owned by input X marks X as constructed by
 	// that algorithm.
 	constructed := map[*group.Algorithm]map[int]bool{}
-	for entityID, node := range allAllocations(p) {
+	p.EachAllocation(func(entityID uint64, node *core.Node) {
 		alg := res.AlgorithmOf[node]
 		if alg == nil {
-			continue
+			return
 		}
 		input := reg.InputOfID(entityID)
 		if input < 0 {
-			continue
+			return
 		}
 		if constructed[alg] == nil {
 			constructed[alg] = map[int]bool{}
 		}
 		constructed[alg][input] = true
-	}
+	})
 
 	out := map[*group.Algorithm]*AlgorithmClass{}
 	for _, alg := range res.Algorithms {
@@ -152,9 +152,4 @@ func Classify(p *core.Profiler, res *group.Result) map[*group.Algorithm]*Algorit
 		out[alg] = ac
 	}
 	return out
-}
-
-// allAllocations exposes the profiler's entity→allocating-node map.
-func allAllocations(p *core.Profiler) map[uint64]*core.Node {
-	return p.Allocations()
 }

@@ -9,7 +9,8 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"sync/atomic"
 
 	"algoprof/internal/events"
@@ -189,8 +190,10 @@ type invocation struct {
 	// entity's type name so that structures of different kinds built
 	// interleaved in one repetition do not contaminate each other;
 	// multi-class structures split across groups re-merge in the registry
-	// through snapshot overlap.
-	pending map[string]*pendingGroup
+	// through snapshot overlap. Like touched, an association list: an
+	// invocation defers a type or two, and type names are interned by the
+	// runtime, so the compare is usually a pointer check.
+	pending []*pendingGroup
 
 	// siteRes records, per path-counted access site touched during this
 	// invocation, what the site resolved to — an identified input or a
@@ -251,21 +254,25 @@ func (inv *invocation) touch(id int) *touchedInput {
 // Costs are interned with Input == NoInput; resolution rewrites them to
 // the identified input id.
 type pendingGroup struct {
+	typ   string // the accessed entities' type name
 	costs costVec
 	first events.Entity
 	last  events.Entity
 }
 
 func (p *Profiler) pendingFor(inv *invocation, e events.Entity) *pendingGroup {
-	if inv.pending == nil {
-		inv.pending = map[string]*pendingGroup{}
+	typ := e.TypeName()
+	var g *pendingGroup
+	for _, pg := range inv.pending {
+		if pg.typ == typ {
+			g = pg
+			break
+		}
 	}
-	key := e.TypeName()
-	g := inv.pending[key]
 	if g == nil {
 		g = p.newPendingGroup()
-		g.first = e
-		inv.pending[key] = g
+		g.typ, g.first = typ, e
+		inv.pending = append(inv.pending, g)
 	}
 	g.last = e
 	return g
@@ -544,17 +551,14 @@ func (p *Profiler) AllocatedBy(id uint64) *Node {
 	return p.allocatedBy[off]
 }
 
-// Allocations returns the full entity-id → allocating-node relation,
-// materialized as a map. Call at report time only; profiling stores the
-// relation as a dense slice.
-func (p *Profiler) Allocations() map[uint64]*Node {
-	m := make(map[uint64]*Node, len(p.allocatedBy))
+// EachAllocation calls f, in entity-id order, for every entity whose
+// allocation the profiler saw, with the repetition node that allocated it.
+func (p *Profiler) EachAllocation(f func(id uint64, n *Node)) {
 	for off, n := range p.allocatedBy {
 		if n != nil {
-			m[p.abBase+uint64(off)] = n
+			f(p.abBase+uint64(off), n)
 		}
 	}
-	return m
 }
 
 // Errors returns internal consistency problems detected during profiling.
@@ -770,13 +774,9 @@ func (p *Profiler) remeasure(inv *invocation) {
 		p.recordSize(inv, obs)
 	}
 	if len(inv.pending) > 0 {
-		keys := make([]string, 0, len(inv.pending))
-		for k := range inv.pending {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, key := range keys {
-			g := inv.pending[key]
+		// Resolve in type-name order: observation order decides input ids.
+		slices.SortFunc(inv.pending, func(a, b *pendingGroup) int { return strings.Compare(a.typ, b.typ) })
+		for _, g := range inv.pending {
 			if g.first != nil && g.first != g.last {
 				// The first accessed reference may see a different fragment
 				// (Listing 4); observing both lets overlap unification join
@@ -790,11 +790,8 @@ func (p *Profiler) remeasure(inv *invocation) {
 				k.Input = obs.InputID
 				inv.costs.add(p.keys.id(k), c.n)
 			}
-			g.costs.reset()
-			g.first, g.last = nil, nil
-			p.pgFree = append(p.pgFree, g)
 		}
-		clear(inv.pending)
+		p.freePending(inv)
 	}
 }
 
