@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt build test vet race replay-race bench bench-smoke perfbench-smoke fuzz-smoke chaos-smoke service-smoke dist-chaos-smoke bench-service bench-dispatch paper
+.PHONY: check fmt build test vet race replay-race bench bench-smoke perfbench-smoke fuzz-smoke chaos-smoke service-smoke bench-service bench-dispatch paper
 
 # The tier-1 gate plus formatting and the concurrency-sensitive packages
 # under the race detector. Run before committing.
@@ -26,13 +26,15 @@ test:
 # snapshot registry runs inside, the trace subsystem (parallel replay
 # workers; the store's concurrent-record reservation), the daemon, the
 # distributed dispatcher (lease timers, breaker state, and worker keyed
-# locks race against heartbeat streams), and the root package (the
-# events/paths equivalence suite and the threaded transport-equivalence
-# gate, which runs ≥2 concurrent per-thread producers, each with its own
-# transport). Vet runs first so the leg is self-contained in CI.
+# locks race against heartbeat streams), the chaos sweeps (the daemon and
+# distributed targets crash workers and revoke leases mid-stream), and
+# the root package (the events/paths equivalence suite and the threaded
+# transport-equivalence gate, which runs ≥2 concurrent per-thread
+# producers, each with its own transport). Vet runs first so the leg is
+# self-contained in CI.
 race:
 	$(GO) vet ./...
-	$(GO) test -race . ./internal/events/... ./internal/core ./internal/vm ./internal/experiments/... ./internal/trace/... ./internal/service ./internal/dispatch ./probe
+	$(GO) test -race . ./internal/events/... ./internal/core ./internal/vm ./internal/experiments/... ./internal/trace/... ./internal/service ./internal/dispatch ./internal/chaos ./probe
 
 # The parallel-replay surface under the race detector, repeated: worker
 # fan-out, chunk merging, cancellation, and the fleet differ are exactly
@@ -79,33 +81,33 @@ fuzz-smoke:
 	$(GO) test -run Fuzz -fuzz=FuzzCheckpointDecode -fuzztime=10s ./internal/trace
 	$(GO) test -run Fuzz -fuzz=FuzzDecode -fuzztime=10s ./internal/pathdecode
 
-# Seeded fault-injection sweep through the whole pipeline (see
-# docs/FAULTS.md): every schedule must succeed, degrade deterministically,
-# or fail with a typed fault class — any other outcome exits non-zero.
+# Seeded fault-injection sweeps of every chaos target under the race
+# detector (see docs/FAULTS.md): the library's record → replay pipeline,
+# the daemon's write path (intake, pool, persist), and distributed
+# dispatch (worker crash / partition / slow worker / corrupt response
+# through a daemon routing jobs to two worker HTTP servers). Every
+# schedule must succeed, degrade deterministically, or fail with a typed
+# fault class; a lost job, an untyped failure or an ingested damaged
+# artifact exits non-zero.
 chaos-smoke:
-	$(GO) run ./cmd/algoprof chaos -seeds 32
-	$(GO) run ./cmd/algoprof chaos -service -seeds 16
-
-# Distributed-dispatch chaos sweep under the race detector (see
-# docs/SERVICE.md "Distributed operation"): seeded worker-crash /
-# partition / slow-worker / corrupt-response schedules through a real
-# daemon routing jobs to two worker HTTP servers. Zero lost jobs, typed
-# failures only, and no damaged artifact ever ingested — any other
-# outcome exits non-zero. Then a short distributed benchmark with its
-# -check gate against a throwaway output file.
-dist-chaos-smoke:
-	$(GO) run -race ./cmd/algoprof chaos -dist -seeds 8
-	$(GO) run ./cmd/algoprofd distbench -jobs 12 -out /tmp/BENCH_dispatch_smoke.json -check
-	rm -f /tmp/BENCH_dispatch_smoke.json
+	$(GO) build -race -o /tmp/algoprof-chaos ./cmd/algoprof
+	/tmp/algoprof-chaos chaos -target lib -seeds 32
+	/tmp/algoprof-chaos chaos -target service -seeds 16
+	/tmp/algoprof-chaos chaos -target dist -seeds 8
+	rm -f /tmp/algoprof-chaos
 
 # End-to-end daemon smoke (see docs/SERVICE.md): boot an in-process
 # algoprofd on an ephemeral port, submit a job over HTTP, stream its NDJSON
 # result, audit the persisted run (the same checks `algoprof verify` runs),
 # byte-compare the returned profile against the library API, then a short
 # loadgen where every job must terminate ok/degraded/typed-failed with
-# zero lost.
+# zero lost. Then a short distributed benchmark with its -check gate (zero
+# lost jobs and zero untyped failures in every crash leg) against a
+# throwaway output file.
 service-smoke:
 	$(GO) run ./cmd/algoprofd smoke -jobs 60
+	$(GO) run ./cmd/algoprofd distbench -jobs 12 -out /tmp/BENCH_dispatch_smoke.json -check
+	rm -f /tmp/BENCH_dispatch_smoke.json
 
 # Regenerate the committed BENCH_service.json baseline: a real daemon on a
 # local port hammered with 1000 concurrent jobs across 4 tenants.

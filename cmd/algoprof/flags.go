@@ -5,6 +5,8 @@ import (
 	"os"
 	"strconv"
 	"strings"
+
+	"algoprof/internal/chaos"
 )
 
 // usageError marks a bad flag or argument value. It exits with status 2
@@ -57,6 +59,15 @@ func validateWorkers(j int) error {
 		return usagef("bad -j %d: want 0 (all cores) or a positive worker count", j)
 	}
 	return nil
+}
+
+// chaosTarget validates a chaos -target name.
+func chaosTarget(name string) (chaos.Target, error) {
+	switch t := chaos.Target(name); t {
+	case chaos.Lib, chaos.Service, chaos.Dist:
+		return t, nil
+	}
+	return "", usagef("bad -target %q: want lib, service or dist", name)
 }
 
 // fatalUsage reports a usage error and exits 2, matching flag-package

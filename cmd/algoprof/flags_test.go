@@ -81,3 +81,20 @@ func TestValidateWorkers(t *testing.T) {
 		}
 	}
 }
+
+func TestChaosTarget(t *testing.T) {
+	for _, name := range []string{"lib", "service", "dist"} {
+		if got, err := chaosTarget(name); err != nil || string(got) != name {
+			t.Fatalf("chaosTarget(%q) = %q, %v", name, got, err)
+		}
+	}
+	// Unknown names — including the old -service/-dist spellings and a
+	// case variant — are usage errors, never a silent default sweep.
+	for _, name := range []string{"", "Lib", "-service", "daemon", "lib,dist"} {
+		_, err := chaosTarget(name)
+		var ue *usageError
+		if !errors.As(err, &ue) {
+			t.Fatalf("chaosTarget(%q) = %v, want *usageError", name, err)
+		}
+	}
+}

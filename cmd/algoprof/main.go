@@ -10,7 +10,7 @@
 //	algoprof diff   [-store DIR] OLD NEW
 //	algoprof fleetdiff [-store DIR] [-json] [-j N] [-tenant T] BASELINE [RUN...]
 //	algoprof runs   [-store DIR] [-tenant T]
-//	algoprof chaos  [-seeds N] [-base-seed N] [-dir DIR] [-service] [-dist] [-v]
+//	algoprof chaos  [-target lib|service|dist] [-seeds N] [-base-seed N] [-dir DIR] [-v]
 //	algoprof verify DIR
 //	algoprof verify -range LO:HI TRACE
 //
@@ -24,13 +24,16 @@
 // footers. fleetdiff fans that trace differ out across every run in the
 // store against a baseline.
 //
-// chaos sweeps seeded fault schedules through the whole pipeline (see
-// internal/chaos) and exits non-zero unless every schedule succeeds,
-// degrades deterministically, or fails with a typed fault class. verify
-// audits a stored run directory — or a whole store of them — offline and
-// exits non-zero when any artifact is damaged or inconsistent; with
-// -range LO:HI it instead proves frames [LO, HI) of one trace file intact
-// against the trace's Merkle root, reading only the footer and that range.
+// chaos sweeps seeded fault schedules through one target (see
+// internal/chaos): the library's record → replay pipeline (lib, the
+// default), the daemon's write path (service) or distributed dispatch to
+// worker servers (dist). It exits non-zero unless every schedule
+// succeeds, degrades deterministically, or fails with a typed fault
+// class. verify audits a stored run directory — or a whole store of them
+// — offline and exits non-zero when any artifact is damaged or
+// inconsistent; with -range LO:HI it instead proves frames [LO, HI) of
+// one trace file intact against the trace's Merkle root, reading only the
+// footer and that range.
 package main
 
 import (
@@ -45,10 +48,8 @@ import (
 
 	"algoprof"
 	"algoprof/internal/chaos"
-	"algoprof/internal/dispatch"
 	"algoprof/internal/experiments"
 	"algoprof/internal/focus"
-	"algoprof/internal/service"
 	"algoprof/internal/trace"
 	"algoprof/internal/trace/store"
 	"algoprof/internal/verify"
@@ -463,8 +464,8 @@ func cmdRuns(args []string) {
 	}
 }
 
-// cmdChaos sweeps seeded fault schedules through record/replay/verify and
-// reports the outcome trichotomy. Any contract violation — an untyped
+// cmdChaos sweeps seeded fault schedules through one target and reports
+// the outcome trichotomy. Any contract violation — an untyped
 // error, a nondeterministic degradation, a silently wrong profile, a panic
 // — exits non-zero.
 func cmdChaos(args []string) {
@@ -473,9 +474,12 @@ func cmdChaos(args []string) {
 	baseSeed := fs.Uint64("base-seed", 1, "seed of the first schedule")
 	dir := fs.String("dir", "", "scratch directory for run stores (default: a temp dir, removed afterwards)")
 	verbose := fs.Bool("v", false, "log each schedule as it completes")
-	svcSweep := fs.Bool("service", false, "sweep the profiling daemon's write path (job intake, pool, persist) instead of the record pipeline")
-	distSweep := fs.Bool("dist", false, "sweep the distributed dispatch path (worker crashes, partitions, slow workers, corrupt responses)")
+	targetName := fs.String("target", string(chaos.Lib), "system to sweep: lib (record → replay pipeline), service (daemon job intake, pool, persist) or dist (distributed dispatch: worker crashes, partitions, slow workers, corrupt responses)")
 	fs.Parse(args)
+	target, err := chaosTarget(*targetName)
+	if err != nil {
+		fatalUsage(err)
+	}
 
 	scratch := *dir
 	if scratch == "" {
@@ -492,14 +496,7 @@ func cmdChaos(args []string) {
 			fmt.Fprintf(os.Stderr, format+"\n", args...)
 		}
 	}
-	run := chaos.Run
-	switch {
-	case *svcSweep:
-		run = service.RunChaos
-	case *distSweep:
-		run = dispatch.RunChaos
-	}
-	rep, err := run(cfg)
+	rep, err := chaos.Run(target, cfg)
 	if err != nil {
 		fatal(err)
 	}
@@ -537,12 +534,12 @@ func cmdVerify(args []string) {
 		return
 	}
 	dir := fs.Arg(0)
-	var findings []chaos.Finding
+	var findings []store.Finding
 	if _, err := os.Stat(filepath.Join(dir, store.ManifestName)); err == nil {
-		findings = chaos.AuditRun(dir)
+		findings = store.AuditRun(dir)
 	} else {
 		var aerr error
-		findings, aerr = chaos.AuditStore(dir)
+		findings, aerr = store.AuditStore(dir)
 		if aerr != nil {
 			fatal(aerr)
 		}

@@ -67,10 +67,10 @@ import (
 	"time"
 
 	"algoprof"
-	"algoprof/internal/chaos"
 	"algoprof/internal/dispatch"
 	"algoprof/internal/service"
 	"algoprof/internal/trace"
+	"algoprof/internal/trace/store"
 	"algoprof/internal/workloads"
 )
 
@@ -454,7 +454,7 @@ func smoke(jobs int, out string) error {
 	// 3. The persisted run passes the forensic audit `algoprof verify`
 	// runs, and its profile is byte-identical to the library API's.
 	runDir := filepath.Join(storeDir, v.ID)
-	if findings := chaos.AuditRun(runDir); len(findings) != 0 {
+	if findings := store.AuditRun(runDir); len(findings) != 0 {
 		return fmt.Errorf("smoke: audit findings on service run: %v", findings)
 	}
 	prof, err := algoprof.Run(src, algoprof.Config{Seed: 7})

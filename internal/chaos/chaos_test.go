@@ -1,54 +1,72 @@
 package chaos
 
 import (
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
-	"algoprof"
 	"algoprof/internal/faultinject"
-	"algoprof/internal/trace"
-	"algoprof/internal/trace/store"
 )
 
-// TestChaosSweep is the smoke sweep: every schedule must classify into the
-// outcome trichotomy with zero contract violations, and the schedule
-// families must actually produce the outcomes they are designed to force.
+// TestChaosSweep is the smoke sweep of every target: each schedule must
+// classify into the outcome trichotomy with zero contract violations —
+// for the daemon targets, no lost job, no untyped failure and no damaged
+// artifact ingested — and the schedule families must actually produce the
+// outcomes they are designed to force.
 func TestChaosSweep(t *testing.T) {
-	rep, err := Run(Config{Seeds: 16, BaseSeed: 1, Dir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		target      Target
+		base        uint64
+		seeds       int
+		skipInShort bool
+		// wantDegraded and wantFailed: the watchdog family must halt a run
+		// and the resource family must fire.
+		wantDegraded, wantFailed bool
+	}{
+		{target: Lib, base: 1, seeds: 16, wantDegraded: true, wantFailed: true},
+		{target: Service, base: 0, seeds: 8, skipInShort: true},
+		// Two full cycles of the worker-crash, partition, slow-worker and
+		// corrupt-response families.
+		{target: Dist, base: 400, seeds: 8},
+	} {
+		t.Run(string(tc.target), func(t *testing.T) {
+			if tc.skipInShort && testing.Short() {
+				t.Skip("chaos sweep in -short mode")
+			}
+			rep, err := Run(tc.target, Config{Seeds: tc.seeds, BaseSeed: tc.base, Dir: t.TempDir(), Logf: t.Logf})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(rep.Violations) != 0 {
+				t.Fatalf("chaos violations:\n%s", rep.Render())
+			}
+			if got := len(rep.Results); got != tc.seeds {
+				t.Fatalf("got %d results, want %d", got, tc.seeds)
+			}
+			ok, degraded, failed := rep.Counts()
+			if ok == 0 {
+				t.Errorf("no schedule succeeded — the healthy path is not exercised:\n%s", rep.Render())
+			}
+			if tc.wantDegraded && degraded == 0 {
+				t.Error("no schedule degraded (watchdog family never halted a run)")
+			}
+			if tc.wantFailed && failed == 0 {
+				t.Error("no schedule failed typed (resource family never fired)")
+			}
+			for _, res := range rep.Results {
+				if res.Outcome == Failed && res.Class == faultinject.Unknown {
+					t.Errorf("seed %d failed with an unknown fault class: %s", res.Seed, res.Err)
+				}
+			}
+			t.Log("\n" + rep.Render())
+		})
 	}
-	if len(rep.Violations) != 0 {
-		t.Fatalf("chaos violations:\n%s", strings.Join(rep.Violations, "\n"))
-	}
-	if got := len(rep.Results); got != 16 {
-		t.Fatalf("got %d results, want 16", got)
-	}
-	ok, degraded, failed := rep.Counts()
-	if ok == 0 {
-		t.Error("no schedule succeeded")
-	}
-	if degraded == 0 {
-		t.Error("no schedule degraded (watchdog family never halted a run)")
-	}
-	if failed == 0 {
-		t.Error("no schedule failed typed (resource family never fired)")
-	}
-	for _, res := range rep.Results {
-		if res.Outcome == Failed && res.Class == faultinject.Unknown {
-			t.Errorf("seed %d failed with an unknown fault class: %s", res.Seed, res.Err)
-		}
-	}
-	t.Log("\n" + rep.Render())
 }
 
 // TestChaosDeterministic: the same sweep configuration must reproduce the
 // same outcome sequence, fault for fault.
 func TestChaosDeterministic(t *testing.T) {
 	run := func() []Result {
-		rep, err := Run(Config{Seeds: 8, BaseSeed: 21, Dir: t.TempDir()})
+		rep, err := Run(Lib, Config{Seeds: 8, BaseSeed: 21, Dir: t.TempDir()})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -67,159 +85,10 @@ func TestChaosDeterministic(t *testing.T) {
 	}
 }
 
-// recordCleanRun stores one fault-free run and returns its directory.
-func recordCleanRun(t *testing.T) string {
-	t.Helper()
-	dir := t.TempDir()
-	s, err := store.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := corpus()[0].src
-	if _, err := s.Record("run", src, "audit-test", algoprof.Config{}, trace.WriterOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	return filepath.Join(dir, "run")
-}
-
-// TestAuditCleanRun: an intact run directory audits clean.
-func TestAuditCleanRun(t *testing.T) {
-	runDir := recordCleanRun(t)
-	if fs := AuditRun(runDir); len(fs) != 0 {
-		t.Fatalf("clean run flagged: %v", fs)
-	}
-	fs, err := AuditStore(filepath.Dir(runDir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fs) != 0 {
-		t.Fatalf("clean store flagged: %v", fs)
-	}
-}
-
-// recordThreadedRun stores one fault-free threaded run (the corpus's
-// spawn/join workload) and returns its directory.
-func recordThreadedRun(t *testing.T) string {
-	t.Helper()
-	dir := t.TempDir()
-	s, err := store.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cases := corpus()
-	src := cases[len(cases)-1].src // threaded entry stays last
-	if _, err := s.Record("run", src, "audit-test", algoprof.Config{}, trace.WriterOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	return filepath.Join(dir, "run")
-}
-
-// TestAuditThreadedRun: a threaded run audits clean — the audit replays
-// the per-thread traces listed in the manifest, not just the main one —
-// and damage to any thread trace is a finding.
-func TestAuditThreadedRun(t *testing.T) {
-	runDir := recordThreadedRun(t)
-	if fs := AuditRun(runDir); len(fs) != 0 {
-		t.Fatalf("clean threaded run flagged: %v", fs)
-	}
-
-	t.Run("missing-thread-trace", func(t *testing.T) {
-		runDir := recordThreadedRun(t)
-		if err := os.Remove(filepath.Join(runDir, store.ThreadTraceName(1))); err != nil {
-			t.Fatal(err)
-		}
-		if fs := AuditRun(runDir); len(fs) == 0 {
-			t.Fatal("run with missing thread trace audited clean")
-		}
-	})
-	t.Run("thread-trace-bitflip", func(t *testing.T) {
-		runDir := recordThreadedRun(t)
-		path := filepath.Join(runDir, store.ThreadTraceName(2))
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		data[len(data)/2] ^= 0x10
-		overwrite(t, path, data)
-		fs := AuditRun(runDir)
-		if len(fs) == 0 {
-			t.Fatal("run with bit-flipped thread trace audited clean")
-		}
-		for _, f := range fs {
-			if f.Class == faultinject.Unknown {
-				t.Errorf("finding with unknown class: %v", f)
-			}
-		}
-	})
-}
-
-// TestAuditFlagsCorruption: each class of deliberate damage to a run
-// directory must produce at least one finding.
-func TestAuditFlagsCorruption(t *testing.T) {
-	damage := map[string]func(t *testing.T, runDir string){
-		"garbage-manifest": func(t *testing.T, runDir string) {
-			overwrite(t, filepath.Join(runDir, store.ManifestName), []byte("{not json"))
-		},
-		"missing-trace": func(t *testing.T, runDir string) {
-			if err := os.Remove(filepath.Join(runDir, store.TraceName)); err != nil {
-				t.Fatal(err)
-			}
-		},
-		"program-tampered": func(t *testing.T, runDir string) {
-			overwrite(t, filepath.Join(runDir, store.ProgramName), []byte("class Main { public static void main() {} }"))
-		},
-		"trace-bitflip": func(t *testing.T, runDir string) {
-			path := filepath.Join(runDir, store.TraceName)
-			data, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			data[len(data)/2] ^= 0x10
-			overwrite(t, path, data)
-		},
-	}
-	for name, corrupt := range damage {
-		t.Run(name, func(t *testing.T) {
-			runDir := recordCleanRun(t)
-			corrupt(t, runDir)
-			fs := AuditRun(runDir)
-			if len(fs) == 0 {
-				t.Fatal("damaged run audited clean")
-			}
-			for _, f := range fs {
-				if f.Class == faultinject.Unknown {
-					t.Errorf("finding with unknown class: %v", f)
-				}
-			}
-		})
-	}
-}
-
-// TestAuditStoreFlagsGarbageEntries: stray files and manifest-less
-// directories — which the store listing deliberately skips — must still be
-// flagged by the audit.
-func TestAuditStoreFlagsGarbageEntries(t *testing.T) {
-	runDir := recordCleanRun(t)
-	dir := filepath.Dir(runDir)
-	overwrite(t, filepath.Join(dir, "stray.txt"), []byte("not a run"))
-	if err := os.Mkdir(filepath.Join(dir, "empty-run"), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	// The daemon's job journal is a legitimate store-level file — even
-	// with a torn tail line, which is its normal post-crash state.
-	overwrite(t, filepath.Join(dir, store.JournalName), []byte(`{"op":"enqueue","id":"j1"}`+"\n"+`{"op":"term`))
-	fs, err := AuditStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fs) != 2 {
-		t.Fatalf("got findings %v, want exactly the stray file and the empty dir", fs)
-	}
-}
-
-func overwrite(t *testing.T, path string, data []byte) {
-	t.Helper()
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
+// TestRunUnknownTarget: a target outside the three is a setup error, not
+// an empty sweep.
+func TestRunUnknownTarget(t *testing.T) {
+	if _, err := Run("bogus", Config{Dir: t.TempDir()}); err == nil {
+		t.Fatal("Run accepted an unknown target")
 	}
 }

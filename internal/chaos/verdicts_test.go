@@ -8,8 +8,6 @@ import (
 	"testing"
 
 	"algoprof/internal/chaos"
-	"algoprof/internal/dispatch"
-	"algoprof/internal/service"
 )
 
 var updateVerdicts = flag.Bool("update", false, "rewrite testdata/verdicts.txt")
@@ -25,19 +23,18 @@ const verdictFile = "testdata/verdicts.txt"
 func sweepVerdicts(t *testing.T) []string {
 	t.Helper()
 	sweeps := []struct {
-		target string
-		run    func(chaos.Config) (*chaos.Report, error)
+		target chaos.Target
 		base   uint64
 		seeds  int
 	}{
-		{"lib", chaos.Run, 1, 32},
-		{"service", service.RunChaos, 0, 17},
-		{"dist", dispatch.RunChaos, 1, 8},
-		{"dist", dispatch.RunChaos, 400, 8},
+		{chaos.Lib, 1, 32},
+		{chaos.Service, 0, 17},
+		{chaos.Dist, 1, 8},
+		{chaos.Dist, 400, 8},
 	}
 	var lines []string
 	for _, sw := range sweeps {
-		rep, err := sw.run(chaos.Config{Seeds: sw.seeds, BaseSeed: sw.base, Dir: t.TempDir()})
+		rep, err := chaos.Run(sw.target, chaos.Config{Seeds: sw.seeds, BaseSeed: sw.base, Dir: t.TempDir()})
 		if err != nil {
 			t.Fatal(err)
 		}

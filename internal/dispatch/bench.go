@@ -126,19 +126,19 @@ func RunBench(cfg BenchConfig) (*BenchReport, error) {
 
 func runBenchLeg(cfg BenchConfig, crashes int) (*BenchLeg, error) {
 	base := filepath.Join(cfg.Dir, fmt.Sprintf("leg-crash-%d", crashes))
-	var fleet []*chaosWorker
+	var fleet []*LocalWorker
 	var urls []string
 	for i := 0; i < cfg.Workers; i++ {
-		cw, err := startChaosWorker(filepath.Join(base, fmt.Sprintf("w%d", i)))
+		lw, err := StartLocalWorker(filepath.Join(base, fmt.Sprintf("w%d", i)))
 		if err != nil {
 			return nil, err
 		}
-		fleet = append(fleet, cw)
-		urls = append(urls, cw.url)
+		fleet = append(fleet, lw)
+		urls = append(urls, lw.URL)
 	}
 	defer func() {
-		for _, cw := range fleet {
-			cw.crash()
+		for _, lw := range fleet {
+			lw.Crash()
 		}
 	}()
 
@@ -177,7 +177,7 @@ func runBenchLeg(cfg BenchConfig, crashes int) (*BenchLeg, error) {
 		if crashes > 0 && i == cfg.Jobs/4 {
 			// Crash mid-batch: in-flight leases sever, queued work re-routes.
 			for c := 0; c < crashes; c++ {
-				fleet[c].crash()
+				fleet[c].Crash()
 			}
 		}
 	}

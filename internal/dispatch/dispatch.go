@@ -503,7 +503,7 @@ func (d *Dispatcher) finishResult(w *workerState, spec service.ExecSpec, res *re
 			// trace bytes regardless of what landed on worker scratch.
 			out.TraceBytes = 0
 		}
-		return out, &RemoteError{Worker: w.url, Msg: res.Error, Class: classFromName(res.ErrorClass)}
+		return out, &RemoteError{Worker: w.url, Msg: res.Error, Class: faultinject.ParseClass(res.ErrorClass)}
 	}
 	out := res.Outcome
 	if out == nil {
@@ -550,18 +550,6 @@ func clampLimits(cur, cap algoprof.Limits) algoprof.Limits {
 		cur.Deadline = cap.Deadline
 	}
 	return cur
-}
-
-// classFromName maps a wire fault-class name back to the enum.
-func classFromName(name string) faultinject.FaultClass {
-	for _, c := range []faultinject.FaultClass{
-		faultinject.Transient, faultinject.Corruption, faultinject.Resource,
-	} {
-		if c.String() == name {
-			return c
-		}
-	}
-	return faultinject.Unknown
 }
 
 // sleepCtx sleeps for d or until ctx is done.

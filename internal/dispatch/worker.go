@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -63,6 +64,34 @@ func NewWorker(dir string, logf func(string, ...any)) (*Worker, error) {
 	w.cond = sync.NewCond(&w.mu)
 	return w, nil
 }
+
+// LocalWorker is a Worker serving on an in-process loopback listener, the
+// way the chaos sweep and the distributed benchmark run their fleets.
+type LocalWorker struct {
+	// Host is the listener's host:port; URL is the worker's base URL.
+	Host, URL string
+	srv       *http.Server
+}
+
+// StartLocalWorker boots a Worker with its scratch store in dir.
+func StartLocalWorker(dir string) (*LocalWorker, error) {
+	w, err := NewWorker(dir, nil)
+	if err != nil {
+		return nil, err
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return nil, err
+	}
+	lw := &LocalWorker{Host: ln.Addr().String(), srv: &http.Server{Handler: w.Handler()}}
+	lw.URL = "http://" + lw.Host
+	go lw.srv.Serve(ln)
+	return lw, nil
+}
+
+// Crash kills the worker abruptly: the listener and every active
+// connection close immediately, mid-stream — no drain, no goodbye.
+func (lw *LocalWorker) Crash() { lw.srv.Close() }
 
 // Executed returns how many jobs this worker has run to a result (tests,
 // chaos assertions).

@@ -64,6 +64,17 @@ func (c FaultClass) String() string {
 	return "unknown"
 }
 
+// ParseClass maps a class name, as String prints it, back to the class.
+// Any other name, including "", is Unknown.
+func ParseClass(name string) FaultClass {
+	for c := Transient; c <= Resource; c++ {
+		if c.String() == name {
+			return c
+		}
+	}
+	return Unknown
+}
+
 // Fault is one injected (or injected-style) failure: its class, the
 // injection point that raised it, and the underlying cause when the fault
 // models a specific errno.

@@ -131,6 +131,21 @@ func TestClassOf(t *testing.T) {
 	}
 }
 
+// TestParseClass: every class round-trips through String, and any other
+// name — empty, "unknown" or junk — parses to Unknown.
+func TestParseClass(t *testing.T) {
+	for _, c := range []FaultClass{Unknown, Transient, Corruption, Resource} {
+		if got := ParseClass(c.String()); got != c {
+			t.Errorf("ParseClass(%q) = %v, want %v", c.String(), got, c)
+		}
+	}
+	for _, name := range []string{"", "unknown", "Transient", "corrupt", "resource ", "🙃"} {
+		if got := ParseClass(name); got != Unknown {
+			t.Errorf("ParseClass(%q) = %v, want unknown", name, got)
+		}
+	}
+}
+
 // TestRetryTransientOnly: the retry policy retries transient failures with
 // doubling backoff and returns every other class immediately.
 func TestRetryTransientOnly(t *testing.T) {

@@ -13,7 +13,7 @@ import (
 	"time"
 
 	"algoprof"
-	"algoprof/internal/chaos"
+	"algoprof/internal/trace/store"
 )
 
 func newHTTPService(t *testing.T, cfg Config) (*Service, *httptest.Server) {
@@ -77,7 +77,7 @@ func TestHTTPEndToEnd(t *testing.T) {
 	// The persisted run passes the same audit `algoprof verify` runs:
 	// manifest consistent, trace replayable, replay matches the manifest.
 	runDir := filepath.Join(s.Store().Dir(), v.ID)
-	if findings := chaos.AuditRun(runDir); len(findings) != 0 {
+	if findings := store.AuditRun(runDir); len(findings) != 0 {
 		t.Fatalf("audit findings on service-recorded run: %v", findings)
 	}
 	run, err := s.Store().Load(v.ID)

@@ -459,7 +459,7 @@ func (s *Store) Load(name string) (*Run, error) {
 	}
 	r := &Run{Name: name, Dir: dir}
 	if err := json.Unmarshal(data, &r.Manifest); err != nil {
-		return nil, &CorruptRunError{Run: name, Err: err}
+		return nil, &CorruptRunError{Run: name, Err: fmt.Errorf("garbage manifest: %w", err)}
 	}
 	return r, nil
 }
@@ -490,10 +490,36 @@ func (s *Store) ReplayParallel(ctx context.Context, name string, workers int) (*
 	})
 }
 
-// replayWith loads a run and drives one replay strategy over its traces:
-// the main trace plus, for threaded runs, one reader per thread id the
-// manifest lists.
+// replayWith loads a run and drives one replay strategy over its traces.
 func (s *Store) replayWith(ctx context.Context, name string, replay func(context.Context, *bytecode.Program, algoprof.Config, *trace.Reader, map[int]*trace.Reader) (*algoprof.Profile, error)) (*Run, error) {
+	st, err := s.load(name)
+	if err != nil {
+		return nil, err
+	}
+	prof, err := replay(ctx, st.prog, st.run.Manifest.Config, st.main, st.threads)
+	if err != nil {
+		return nil, err
+	}
+	prof.Stdout = st.run.Manifest.Stdout
+	prof.Output = st.run.Manifest.Output
+	st.run.Profile = prof
+	return st.run, nil
+}
+
+// stored is a run read back for replay.
+type stored struct {
+	run *Run
+	// prog is the stored program, checked against its hash and compiled.
+	prog *bytecode.Program
+	main *trace.Reader
+	// threads holds one reader per thread id the manifest lists; nil for
+	// a single-threaded run.
+	threads map[int]*trace.Reader
+}
+
+// load reads everything a replay of run name needs. Replay and the audit
+// share it, so both judge a run directory by the same reads.
+func (s *Store) load(name string) (*stored, error) {
 	r, err := s.Load(name)
 	if err != nil {
 		return nil, err
@@ -546,12 +572,5 @@ func (s *Store) replayWith(ctx context.Context, name string, replay func(context
 		}
 		threads[tid] = ttr
 	}
-	prof, err := replay(ctx, prog, r.Manifest.Config, tr, threads)
-	if err != nil {
-		return nil, err
-	}
-	prof.Stdout = r.Manifest.Stdout
-	prof.Output = r.Manifest.Output
-	r.Profile = prof
-	return r, nil
+	return &stored{run: r, prog: prog, main: tr, threads: threads}, nil
 }
