@@ -51,10 +51,11 @@ bench:
 
 # One-iteration pass over every Go micro-benchmark — a fast compile-and-run
 # sanity check that the benchmarks themselves still work — followed by the
-# regression gates: per-mode overhead (fail when paths-mode slowdown
-# exceeds the recorded BENCH_overhead.json baseline by more than 1.5x) and
-# parallel replay (fail when the parallel stream diverges from sequential,
-# or is slower than sequential on a multi-core runner).
+# regression gates: the profiler's own cost (fail when the median per-round
+# events-mode over paths-mode time exceeds the recorded BENCH_overhead.json
+# baseline by more than 7%) and parallel replay (fail when the parallel
+# stream diverges from sequential, or is slower than sequential on a
+# multi-core runner).
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime=1x ./...
 	$(GO) run ./cmd/paper -j 1 bench -check

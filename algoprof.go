@@ -25,19 +25,16 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
-	"time"
 
 	"algoprof/internal/classify"
 	"algoprof/internal/core"
-	"algoprof/internal/events/pipeline"
 	"algoprof/internal/fit"
 	"algoprof/internal/group"
 	"algoprof/internal/instrument"
 	"algoprof/internal/mj/bytecode"
 	"algoprof/internal/mj/compiler"
 	"algoprof/internal/report"
-	"algoprof/internal/verify"
-	"algoprof/internal/vm"
+	"algoprof/internal/trace"
 )
 
 // SizeStrategy selects how array input sizes are measured (paper §3.4).
@@ -228,7 +225,6 @@ type rawProfile struct {
 	groups   *group.Result
 	classes  map[*group.Algorithm]*classify.AlgorithmClass
 	fits     map[*group.Algorithm]map[string]*fit.Fit
-	machine  *vm.VM
 	// threadEvents is the profiling-event total of all spawned threads'
 	// profilers, accumulated at merge time.
 	threadEvents uint64
@@ -325,129 +321,42 @@ func RunContext(ctx context.Context, src string, cfg Config) (*Profile, error) {
 	if err != nil {
 		return nil, err
 	}
-	return RunProgramContext(ctx, prog, cfg)
+	return live(ctx, prog, cfg, nil, trace.WriterOptions{}, nil)
 }
 
 // RunProgram profiles an already compiled program.
 func RunProgram(prog *bytecode.Program, cfg Config) (*Profile, error) {
-	return RunProgramContext(context.Background(), prog, cfg)
+	return live(context.Background(), prog, cfg, nil, trace.WriterOptions{}, nil)
 }
 
-// RunProgramContext is RunProgram with cooperative cancellation (see
-// RunContext).
-func RunProgramContext(ctx context.Context, prog *bytecode.Program, cfg Config) (*Profile, error) {
-	imode, err := instrumentMode(cfg)
-	if err != nil {
-		return nil, err
-	}
-	ins, err := instrument.Instrument(prog, imode)
-	if err != nil {
-		return nil, err
-	}
-
-	prof := core.NewProfiler(ins, coreOptions(cfg))
-
-	// Spawned threads each get their own profiler session: their own
-	// repetition tree, and their own transport when the run is verified.
-	threads := &threadSessions{ins: ins, cfg: cfg}
-
-	vmCfg := vm.Config{
-		Listener:     prof,
-		Plan:         ins.Plan,
-		NumSites:     ins.NumSites(),
-		Seed:         seedOf(cfg),
-		Input:        cfg.Input,
-		MaxSteps:     cfg.MaxSteps,
-		Watchdog:     watchdogFor(ctx, cfg.Limits, time.Now(), cfg.Watchdog),
-		SpawnSession: threads.spawnSession,
-	}
-	var pr *pipeline.Producer
-	var chk *verify.Checker
-	if cfg.Verify {
-		// The verifier is a raw-tap consumer, so a verified run routes
-		// events through a transport.
-		tp := pipeline.New()
-		tp.Add(prof, ins.Plan)
-		chk = verify.NewChecker()
-		tp.Add(chk, nil)
-		pr = tp.Producer()
-		vmCfg.Listener = pr
-		// The heap journal costs nothing to check and a lot to miss:
-		// wire it so the verifier sees entity births and stores too.
-		vmCfg.Journal = pr
-	}
-	machine := vm.New(ins.Prog, vmCfg)
-	if pr != nil {
-		pr.BindClock(&machine.InstrCount)
-	}
-	extra, runErr := triageRunError(machine.Run())
-	if runErr != nil {
-		if interrupted(runErr) {
-			return nil, salvage(func() *Profile {
-				p, _ := finishProfile(prof, cfg, machine, true)
-				if p != nil {
-					_ = mergeThreadProfiles(threads, p, cfg, true)
-				}
-				return p
-			}, runErr)
-		}
-		return nil, runErr
-	}
-	// With the verifier attached, profiler-internal errors surface as
-	// typed verify violations instead of the bare internal-error wrap.
-	p, err := finishProfile(prof, cfg, machine, chk != nil, extra...)
-	if err != nil {
-		return nil, err
-	}
-	if err := mergeThreadProfiles(threads, p, cfg, false); err != nil {
-		return nil, err
-	}
-	if err := runVerify(chk, prof, false, cfg.Mode != ModePaths); err != nil {
-		return nil, err
-	}
-	return p, nil
-}
-
-// instrumentMode maps Config.Mode to an instrumentation mode.
-func instrumentMode(cfg Config) (instrument.Mode, error) {
+// instrumentFor checks cfg.Mode and instruments prog for it. traced marks
+// a recording or a replay: traces carry the exact event stream, whose
+// records path counters elide, so those require events mode (record in
+// events mode and profile the trace under either mode's semantics
+// offline).
+func instrumentFor(prog *bytecode.Program, cfg Config, traced bool) (*instrument.Instrumented, error) {
+	mode := instrument.Optimized
 	switch cfg.Mode {
 	case "", ModeEvents:
-		return instrument.Optimized, nil
 	case ModePaths:
-		return instrument.Paths, nil
+		if traced {
+			return nil, fmt.Errorf("algoprof: trace recording and replay require events mode (got mode %q)", cfg.Mode)
+		}
+		mode = instrument.Paths
 	default:
-		return 0, fmt.Errorf("algoprof: unknown mode %q (want %q or %q)", cfg.Mode, ModeEvents, ModePaths)
+		return nil, fmt.Errorf("algoprof: unknown mode %q (want %q or %q)", cfg.Mode, ModeEvents, ModePaths)
 	}
-}
-
-// runVerify runs the post-run invariant checks when a checker was
-// attached: end-of-stream balance (openOK tolerates the open frames a
-// truncated trace legitimately leaves), repetition-tree invariants, and —
-// when agree is set — stream-vs-tree agreement. Path mode clears agree:
-// counted loops report iterations through decoded counters rather than
-// LoopBack events, so the stream legitimately disagrees with the tree
-// there (CheckPathDecode covers that gap by cross-checking against an
-// events-mode run). Any violation is returned as a *verify.Error.
-func runVerify(chk *verify.Checker, prof *core.Profiler, openOK, agree bool) error {
-	if chk == nil {
-		return nil
-	}
-	chk.Finish(openOK)
-	chk.Add(verify.CheckTree(prof, openOK))
-	if agree {
-		chk.Add(verify.AgreeStream(chk, prof))
-	}
-	return chk.Err()
+	return instrument.Instrument(prog, mode)
 }
 
 // FromProfiler assembles a Profile from a finished core profiler — used by
-// RunProgram and by alternative frontends such as the probe API.
+// alternative frontends such as the probe API.
 func FromProfiler(prof *core.Profiler) *Profile {
-	return FromProfilerWith(prof, SharedInput)
+	return fromProfiler(prof, SharedInput)
 }
 
-// FromProfilerWith is FromProfiler with an explicit grouping strategy.
-func FromProfilerWith(prof *core.Profiler, strategy GroupStrategy) *Profile {
+// fromProfiler is FromProfiler under an explicit grouping strategy.
+func fromProfiler(prof *core.Profiler, strategy GroupStrategy) *Profile {
 	groups := group.AnalyzeWith(prof, group.Options{Strategy: group.Strategy(strategy)})
 	classes := classify.Classify(prof, groups)
 	fits := map[*group.Algorithm]map[string]*fit.Fit{}

@@ -1,11 +1,14 @@
 package algoprof_test
 
 import (
+	"bytes"
 	"encoding/json"
+	"io"
 	"strings"
 	"testing"
 
 	"algoprof"
+	"algoprof/internal/trace"
 )
 
 const quickstartSrc = `
@@ -76,6 +79,35 @@ func TestRunRuntimeError(t *testing.T) {
 	_, err := algoprof.Run(`class Main { public static void main() { check(false); } }`, algoprof.Config{})
 	if err == nil || !strings.Contains(err.Error(), "check failed") {
 		t.Fatalf("want check failure, got %v", err)
+	}
+}
+
+// TestUnknownModeRejected: every entry point refuses a mode it does not
+// know, rather than silently profiling in events mode.
+func TestUnknownModeRejected(t *testing.T) {
+	var buf bytes.Buffer
+	if _, err := algoprof.Record(quickstartSrc, algoprof.Config{}, &buf, trace.WriterOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	r, err := trace.NewReader(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	bogus := algoprof.Config{Mode: "bogus"}
+	for name, run := range map[string]func() (*algoprof.Profile, error){
+		"Run": func() (*algoprof.Profile, error) {
+			return algoprof.Run(quickstartSrc, bogus)
+		},
+		"Record": func() (*algoprof.Profile, error) {
+			return algoprof.Record(quickstartSrc, bogus, io.Discard, trace.WriterOptions{})
+		},
+		"ReplayProgram": func() (*algoprof.Profile, error) {
+			return algoprof.ReplayProgram(compile(t, quickstartSrc), bogus, r)
+		},
+	} {
+		if _, err := run(); err == nil || !strings.Contains(err.Error(), `unknown mode "bogus"`) {
+			t.Errorf("%s with mode %q: err = %v, want unknown mode", name, bogus.Mode, err)
+		}
 	}
 }
 

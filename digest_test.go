@@ -3,10 +3,12 @@ package algoprof_test
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -16,16 +18,18 @@ import (
 	"testing"
 
 	"algoprof"
+	"algoprof/internal/mj/compiler"
+	"algoprof/internal/trace"
 	"algoprof/internal/workloads"
 )
 
 var updateDigests = flag.Bool("update", false, "rewrite testdata/profile_digests.txt")
 
 // digestFile pins the profile bytes of every corpus program under every
-// digest configuration. The other oracles compare two configurations of one
-// build; this file compares one build against the commit that wrote it, so
-// a change that must leave profiles alone (a faster snapshot path, a new
-// data layout) proves it did.
+// digest configuration, through every run entry point. The other oracles
+// compare two configurations of one build; this file compares one build
+// against the commit that wrote it, so a change that must leave profiles
+// alone (a faster snapshot path, a new data layout) proves it did.
 //
 // Regenerate with: go test . -run TestProfileDigests -update
 var digestFile = filepath.Join("testdata", "profile_digests.txt")
@@ -127,6 +131,117 @@ func profileDigest(p *algoprof.Profile) (string, error) {
 	return hex.EncodeToString(h.Sum(nil)[:16]), nil
 }
 
+// memSink keeps a recording's per-thread traces in memory.
+type memSink struct {
+	mu   sync.Mutex
+	bufs map[int]*bytes.Buffer
+}
+
+type nopWriteCloser struct{ io.Writer }
+
+func (nopWriteCloser) Close() error { return nil }
+
+func (m *memSink) open(tid int) (io.WriteCloser, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.bufs == nil {
+		m.bufs = map[int]*bytes.Buffer{}
+	}
+	b := &bytes.Buffer{}
+	m.bufs[tid] = b
+	return nopWriteCloser{b}, nil
+}
+
+// readers opens one reader over the main trace and one per thread trace.
+func (m *memSink) readers(main []byte) (*trace.Reader, map[int]*trace.Reader, error) {
+	r, err := trace.NewReader(main)
+	if err != nil {
+		return nil, nil, err
+	}
+	threads := map[int]*trace.Reader{}
+	for tid, b := range m.bufs {
+		if threads[tid], err = trace.NewReader(b.Bytes()); err != nil {
+			return nil, nil, fmt.Errorf("thread %d: %w", tid, err)
+		}
+	}
+	return r, threads, nil
+}
+
+// entryPointProfiles profiles src under cfg through every entry point the
+// digests pin: Run, Run with the verifier on, and — in events mode, the
+// only mode traces carry — a threaded recording with its sequential and
+// 2-worker replays. Small frames and frequent checkpoints give the
+// parallel replay frames to fan out. Traces carry no program output, so
+// the replays take Stdout and Output from the recording.
+func entryPointProfiles(src string, cfg algoprof.Config) ([]string, []*algoprof.Profile, error) {
+	verified := cfg
+	verified.Verify = true
+	names := []string{"run", "verified run"}
+	var profiles []*algoprof.Profile
+	for i, c := range []algoprof.Config{cfg, verified} {
+		p, err := algoprof.Run(src, c)
+		if err != nil {
+			return nil, nil, fmt.Errorf("%s: %w", names[i], err)
+		}
+		profiles = append(profiles, p)
+	}
+	if cfg.Mode == algoprof.ModePaths {
+		return names, profiles, nil
+	}
+	ctx := context.Background()
+	var main bytes.Buffer
+	sink := &memSink{}
+	rec, err := algoprof.RecordSinkContext(ctx, src, cfg, &main, trace.WriterOptions{FrameSize: 1 << 10, CheckpointEvery: 2}, sink.open)
+	if err != nil {
+		return nil, nil, fmt.Errorf("record: %w", err)
+	}
+	prog, err := compiler.CompileSource(src)
+	if err != nil {
+		return nil, nil, err
+	}
+	r, threads, err := sink.readers(main.Bytes())
+	if err != nil {
+		return nil, nil, err
+	}
+	seq, err := algoprof.ReplayProgramThreadsContext(ctx, prog, cfg, r, threads)
+	if err != nil {
+		return nil, nil, fmt.Errorf("replay: %w", err)
+	}
+	if r, threads, err = sink.readers(main.Bytes()); err != nil {
+		return nil, nil, err
+	}
+	par, err := algoprof.ReplayProgramThreadsParallel(ctx, prog, cfg, r, threads, 2)
+	if err != nil {
+		return nil, nil, fmt.Errorf("parallel replay: %w", err)
+	}
+	for _, p := range []*algoprof.Profile{seq, par} {
+		p.Stdout, p.Output = rec.Stdout, rec.Output
+	}
+	return append(names, "recording", "replay", "parallel replay"), append(profiles, rec, seq, par), nil
+}
+
+// digestLine returns the "program config digest" line of Run's profile,
+// failing when any other entry point's profile hashes differently.
+func digestLine(prog digestProgram, conf digestConfig) (string, error) {
+	names, profiles, err := entryPointProfiles(prog.src, conf.cfg)
+	if err != nil {
+		return "", err
+	}
+	var want string
+	for i, p := range profiles {
+		d, err := profileDigest(p)
+		if err != nil {
+			return "", err
+		}
+		if i == 0 {
+			want = d
+		} else if d != want {
+			return "", fmt.Errorf("%s digest %s differs from run's %s", names[i], d, want)
+		}
+	}
+	return prog.name + " " + conf.name + " " + want, nil
+}
+
 // computeDigests profiles the corpus under every configuration on a small
 // worker pool and returns "program config digest" lines in corpus order.
 func computeDigests(t *testing.T) []string {
@@ -141,16 +256,10 @@ func computeDigests(t *testing.T) []string {
 			defer wg.Done()
 			for i := range jobs {
 				prog, conf := corpus[i/len(configs)], configs[i%len(configs)]
-				p, err := algoprof.Run(prog.src, conf.cfg)
-				var d string
-				if err == nil {
-					d, err = profileDigest(p)
-				}
-				if err != nil {
+				var err error
+				if lines[i], err = digestLine(prog, conf); err != nil {
 					errs[i] = fmt.Errorf("%s %s: %w", prog.name, conf.name, err)
-					continue
 				}
-				lines[i] = prog.name + " " + conf.name + " " + d
 			}
 		}()
 	}
@@ -161,8 +270,11 @@ func computeDigests(t *testing.T) []string {
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			t.Fatal(err)
+			t.Error(err)
 		}
+	}
+	if t.Failed() {
+		t.FailNow()
 	}
 	return lines
 }

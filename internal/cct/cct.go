@@ -11,7 +11,9 @@ import (
 	"strings"
 
 	"algoprof/internal/events"
+	"algoprof/internal/instrument"
 	"algoprof/internal/mj/bytecode"
+	"algoprof/internal/vm"
 )
 
 // Node is one calling context.
@@ -72,6 +74,25 @@ var _ events.Listener = (*Profiler)(nil)
 func New(clock func() uint64) *Profiler {
 	root := &Node{MethodID: -1}
 	return &Profiler{Clock: clock, root: root, cur: root}
+}
+
+// Baseline runs prog once under the CCT baseline: full instrumentation, so
+// every method reports, with cost read from the VM's instruction counter.
+// It returns the finished profile and the instrumented program its method
+// ids refer to.
+func Baseline(prog *bytecode.Program, seed uint64, input []int64) (*Profiler, *bytecode.Program, error) {
+	ins, err := instrument.Instrument(prog, instrument.Full)
+	if err != nil {
+		return nil, nil, err
+	}
+	var machine *vm.VM
+	p := New(func() uint64 { return machine.InstrCount })
+	machine = vm.New(ins.Prog, vm.Config{Listener: p, Plan: ins.Plan, Seed: seed, Input: input})
+	if err := machine.Run(); err != nil {
+		return nil, nil, err
+	}
+	p.Finish()
+	return p, ins.Prog, nil
 }
 
 // Root returns the synthetic root context.

@@ -9,13 +9,14 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"runtime"
+	"sort"
 	"strings"
 	"sync"
 
 	"algoprof"
 	"algoprof/internal/bbprof"
 	"algoprof/internal/cct"
-	"algoprof/internal/instrument"
 	"algoprof/internal/mj/compiler"
 	"algoprof/internal/report"
 	"algoprof/internal/vm"
@@ -122,31 +123,24 @@ func Figure2(sw Sweep) (*Figure2Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	ins, err := instrument.Instrument(prog, instrument.Full)
+	p, iprog, err := cct.Baseline(prog, sw.Seed, nil)
 	if err != nil {
 		return nil, err
 	}
-	var machine *vm.VM
-	p := cct.New(func() uint64 { return machine.InstrCount })
-	machine = vm.New(ins.Prog, vm.Config{Listener: p, Plan: ins.Plan, Seed: sw.Seed})
-	if err := machine.Run(); err != nil {
-		return nil, err
-	}
-	p.Finish()
 
 	flat := p.Flat()
 	if len(flat) == 0 {
 		return nil, fmt.Errorf("figure2: empty profile")
 	}
 	res := &Figure2Result{
-		Tree:             cct.Render(p, ins.Prog),
-		HottestExclusive: ins.Prog.Sem.MethodByID(flat[0].MethodID).QualifiedName(),
+		Tree:             cct.Render(p, iprog),
+		HottestExclusive: iprog.Sem.MethodByID(flat[0].MethodID).QualifiedName(),
 	}
 	var maxCalls int64 = -1
 	for _, h := range flat {
 		if h.Calls > maxCalls {
 			maxCalls = h.Calls
-			res.MostCalled = ins.Prog.Sem.MethodByID(h.MethodID).QualifiedName()
+			res.MostCalled = iprog.Sem.MethodByID(h.MethodID).QualifiedName()
 		}
 	}
 	return res, nil
@@ -486,6 +480,13 @@ type ModeOverheadResult struct {
 	PlainInstrs  uint64
 	EventsInstrs uint64
 	PathsInstrs  uint64
+	// EventsOverPaths holds the 25th, 50th and 75th percentiles of the
+	// per-round events-mode over paths-mode time. The two modes share the
+	// VM and the profiler core; what separates them is the delivery and
+	// consumption of every access and iteration event paths mode elides,
+	// so the ratio tracks the profiler's own per-event cost with the VM's
+	// speed divided out.
+	EventsOverPaths [3]float64
 }
 
 // EventsSlowdown is the events-mode wall-clock ratio over plain execution.
@@ -504,45 +505,63 @@ func (m *ModeOverheadResult) PathsSlowdown() float64 {
 	return float64(m.PathsNs) / float64(m.PlainNs)
 }
 
-// ModeOverhead measures the three modes interleaved, best-of-3 per leg
-// (single cold samples at this scale are dominated by warm-up noise).
+// modeRounds is how many interleaved rounds ModeOverhead times. One
+// round's three legs run back to back and see one machine state; on a
+// shared host that state drifts over seconds, which a per-round ratio
+// survives and a best-of-round absolute time does not.
+const modeRounds = 49
+
+// ModeOverhead measures the three modes interleaved over modeRounds
+// rounds. Each leg starts after a collection, so no leg pays for the
+// garbage of the one before it.
 func ModeOverhead(sw Sweep, now func() int64) (*ModeOverheadResult, error) {
 	src := workloads.RunningExample(workloads.Random, sw.MaxSize, sw.Step, sw.Reps)
 	prog, err := compiler.CompileSource(src)
 	if err != nil {
 		return nil, err
 	}
+	profiled := func(mode string) func() (uint64, error) {
+		return func() (uint64, error) {
+			p, err := algoprof.RunProgram(prog, algoprof.Config{Seed: sw.Seed, Mode: mode})
+			if err != nil {
+				return 0, err
+			}
+			return p.Instructions, nil
+		}
+	}
+	legs := []func() (uint64, error){
+		func() (uint64, error) {
+			plain := vm.New(prog, vm.Config{Seed: sw.Seed})
+			err := plain.Run()
+			return plain.InstrCount, err
+		},
+		profiled(algoprof.ModeEvents),
+		profiled(algoprof.ModePaths),
+	}
 	res := &ModeOverheadResult{}
-	for round := 0; round < 3; round++ {
-		t0 := now()
-		plain := vm.New(prog, vm.Config{Seed: sw.Seed})
-		if err := plain.Run(); err != nil {
-			return nil, err
+	best := []*int64{&res.PlainNs, &res.EventsNs, &res.PathsNs}
+	instrs := []*uint64{&res.PlainInstrs, &res.EventsInstrs, &res.PathsInstrs}
+	ratios := make([]float64, modeRounds)
+	for round := range ratios {
+		var ns [3]int64
+		for i, leg := range legs {
+			runtime.GC()
+			t0 := now()
+			n, err := leg()
+			if err != nil {
+				return nil, err
+			}
+			ns[i] = now() - t0
+			if *best[i] == 0 || ns[i] < *best[i] {
+				*best[i] = ns[i]
+			}
+			*instrs[i] = n
 		}
-		if d := now() - t0; res.PlainNs == 0 || d < res.PlainNs {
-			res.PlainNs = d
-		}
-		res.PlainInstrs = plain.InstrCount
-
-		t1 := now()
-		ev, err := algoprof.RunProgram(prog, algoprof.Config{Seed: sw.Seed, Mode: algoprof.ModeEvents})
-		if err != nil {
-			return nil, err
-		}
-		if d := now() - t1; res.EventsNs == 0 || d < res.EventsNs {
-			res.EventsNs = d
-		}
-		res.EventsInstrs = ev.Instructions
-
-		t2 := now()
-		pt, err := algoprof.RunProgram(prog, algoprof.Config{Seed: sw.Seed, Mode: algoprof.ModePaths})
-		if err != nil {
-			return nil, err
-		}
-		if d := now() - t2; res.PathsNs == 0 || d < res.PathsNs {
-			res.PathsNs = d
-		}
-		res.PathsInstrs = pt.Instructions
+		ratios[round] = float64(ns[1]) / float64(ns[2])
+	}
+	sort.Float64s(ratios)
+	for q := range res.EventsOverPaths {
+		res.EventsOverPaths[q] = ratios[(q+1)*(len(ratios)-1)/4]
 	}
 	return res, nil
 }

@@ -336,18 +336,8 @@ func cctPass(src string, seed uint64) error {
 	if err != nil {
 		return err
 	}
-	ins, err := instrument.Instrument(prog, instrument.Full)
-	if err != nil {
-		return err
-	}
-	var machine *vm.VM
-	p := cct.New(func() uint64 { return machine.InstrCount })
-	machine = vm.New(ins.Prog, vm.Config{Listener: p, Plan: ins.Plan, Seed: seed})
-	if err := machine.Run(); err != nil {
-		return err
-	}
-	p.Finish()
-	return nil
+	_, _, err = cct.Baseline(prog, seed, nil)
+	return err
 }
 
 // bbPass is a dedicated basic-block baseline pass (the Goldsmith setup).

@@ -27,6 +27,18 @@ func TestCombinedRunMatchesDedicatedRun(t *testing.T) {
 	}
 }
 
+// TestRunBackendsVerifiedTable1: the verified combined pass a daemon job
+// with all_backends runs must accept every Table 1 program, including the
+// recursive traversals whose loop invocations nest under recursion
+// folding; a rejection silently drops the job's backends summary.
+func TestRunBackendsVerifiedTable1(t *testing.T) {
+	for _, row := range workloads.Table1() {
+		if _, err := RunBackendsVerified(row.Source(16), 1); err != nil {
+			t.Errorf("%s: %v", row.Name(), err)
+		}
+	}
+}
+
 func TestCompareIdentical(t *testing.T) {
 	res, err := Compare(smallSweep)
 	if err != nil {

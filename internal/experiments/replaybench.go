@@ -7,6 +7,7 @@ import (
 	"hash/fnv"
 	"os"
 	"path/filepath"
+	"sort"
 
 	"algoprof"
 	"algoprof/internal/events/pipeline"
@@ -14,6 +15,10 @@ import (
 	"algoprof/internal/trace"
 	"algoprof/internal/workloads"
 )
+
+// replayRounds is how many interleaved sequential/parallel rounds each
+// worker count's replay speedup is the median of.
+const replayRounds = 7
 
 // benchFrameSize keeps replay-benchmark traces many-framed (the parallel
 // replay's work unit is the frame chunk); the writer default of 64 KiB
@@ -24,9 +29,10 @@ const benchFrameSize = 4 << 10
 type ReplayBenchPoint struct {
 	// Workers is the decode worker count.
 	Workers int `json:"workers"`
-	// ReplayNs is the best-of-reps wall time of a full trace replay.
+	// ReplayNs is the best-of-rounds wall time of a full trace replay.
 	ReplayNs int64 `json:"replay_ns"`
-	// Speedup is sequential time / this time.
+	// Speedup is the median over rounds of sequential time / this time,
+	// each round timing the two back to back.
 	Speedup float64 `json:"speedup"`
 	// Identical reports that the dispatched record stream matched the
 	// sequential replay's exactly (order-sensitive digest).
@@ -145,28 +151,45 @@ func ReplayBench(sw Sweep, workerSet []int, now func() int64) (*ReplayBenchResul
 	noop := func(*pipeline.Record) {}
 	ctx := context.Background()
 
-	// Sequential baseline: timing with a no-op consumer, digest untimed.
-	if res.SeqNs, err = bestOf(reps, now, func() error { return r.Replay(noop) }); err != nil {
-		return nil, err
-	}
+	// Digests untimed; timing replays into a no-op consumer.
 	var seqDig replayDigest
 	if err := r.Replay(seqDig.add); err != nil {
 		return nil, err
 	}
-
 	for _, w := range workerSet {
-		ns, err := bestOf(reps, now, func() error { return r.ReplayParallel(ctx, w, noop) })
-		if err != nil {
-			return nil, err
-		}
 		var dig replayDigest
 		if err := r.ReplayParallel(ctx, w, dig.add); err != nil {
 			return nil, err
 		}
-		pt := ReplayBenchPoint{Workers: w, ReplayNs: ns, Identical: dig.h == seqDig.h}
-		if ns > 0 {
-			pt.Speedup = float64(res.SeqNs) / float64(ns)
+		pt := ReplayBenchPoint{Workers: w, Identical: dig.h == seqDig.h}
+		// Each round times a sequential and a parallel replay back to
+		// back, in alternating order so neither leg always runs warm, so
+		// a host whose speed drifts over seconds moves both legs of a
+		// round together; the speedup is the median round's.
+		legs := []func() error{
+			func() error { return r.Replay(noop) },
+			func() error { return r.ReplayParallel(ctx, w, noop) },
 		}
+		ratios := make([]float64, replayRounds)
+		for i := range ratios {
+			var ns [2]int64
+			for j := range legs {
+				leg := (i + j) % 2
+				if ns[leg], err = bestOf(1, now, legs[leg]); err != nil {
+					return nil, err
+				}
+			}
+			seq, par := ns[0], ns[1]
+			if res.SeqNs == 0 || seq < res.SeqNs {
+				res.SeqNs = seq
+			}
+			if pt.ReplayNs == 0 || par < pt.ReplayNs {
+				pt.ReplayNs = par
+			}
+			ratios[i] = float64(seq) / float64(max(par, 1))
+		}
+		sort.Float64s(ratios)
+		pt.Speedup = ratios[len(ratios)/2]
 		res.Points = append(res.Points, pt)
 	}
 

@@ -11,9 +11,7 @@ import (
 
 	"algoprof"
 	"algoprof/internal/cct"
-	"algoprof/internal/instrument"
 	"algoprof/internal/mj/compiler"
-	"algoprof/internal/vm"
 )
 
 // HotRegion is one hot method with the algorithms rooted inside it.
@@ -47,22 +45,15 @@ func Run(src string, cfg algoprof.Config, topK int) (*Result, error) {
 		return nil, err
 	}
 
-	// Pass 1: CCT hotness (full plan: every method reports).
-	ins, err := instrument.Instrument(prog, instrument.Full)
-	if err != nil {
-		return nil, err
-	}
-	var machine *vm.VM
-	hot := cct.New(func() uint64 { return machine.InstrCount })
+	// Pass 1: CCT hotness.
 	seed := cfg.Seed
 	if seed == 0 {
 		seed = 1
 	}
-	machine = vm.New(ins.Prog, vm.Config{Listener: hot, Plan: ins.Plan, Seed: seed, Input: cfg.Input})
-	if err := machine.Run(); err != nil {
+	hot, hotProg, err := cct.Baseline(prog, seed, cfg.Input)
+	if err != nil {
 		return nil, err
 	}
-	hot.Finish()
 
 	// Pass 2: algorithmic profile (optimized plan), same seed.
 	profile, err := algoprof.RunProgram(prog, cfg)
@@ -75,7 +66,7 @@ func Run(src string, cfg algoprof.Config, topK int) (*Result, error) {
 		if len(res.Regions) >= topK {
 			break
 		}
-		method := ins.Prog.Sem.MethodByID(h.MethodID).QualifiedName()
+		method := hotProg.Sem.MethodByID(h.MethodID).QualifiedName()
 		region := HotRegion{
 			Method:        method,
 			ExclusiveCost: h.Exclusive,

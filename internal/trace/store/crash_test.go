@@ -27,7 +27,7 @@ func TestInterruptedRecordStaysListable(t *testing.T) {
 	src := workloads.RunningExample(workloads.Random, 48, 4, 3)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err = s.RecordContext(ctx, "crashed", src, "interrupted", algoprof.Config{Seed: 1}, trace.WriterOptions{})
+	_, err = s.RecordTenantContext(ctx, "crashed", src, "interrupted", "", algoprof.Config{Seed: 1}, trace.WriterOptions{})
 	if err == nil {
 		t.Fatal("cancelled Record succeeded")
 	}

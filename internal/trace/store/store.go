@@ -244,25 +244,21 @@ const interruptedReason = "recording-interrupted"
 // run as name. The run directory holds the source, the trace, and the
 // manifest with the fitted cost functions.
 func (s *Store) Record(name, src, workload string, cfg algoprof.Config, topts trace.WriterOptions) (*Run, error) {
-	return s.RecordContext(context.Background(), name, src, workload, cfg, topts)
+	return s.RecordTenantContext(context.Background(), name, src, workload, "", cfg, topts)
 }
 
-// RecordContext is Record with cooperative cancellation. Crash safety: the
-// program source and a provisional manifest (marked degraded with reason
-// "recording-interrupted") are persisted atomically before the profiled run
-// starts, so a crash or kill at any point — including mid-trace-write —
-// leaves a directory that List still names and Replay partially recovers.
-// On cancellation or a contained panic the partial trace and provisional
-// manifest are kept and the *algoprof.PartialError is returned; only
-// outright setup failures remove the run directory again.
-func (s *Store) RecordContext(ctx context.Context, name, src, workload string, cfg algoprof.Config, topts trace.WriterOptions) (*Run, error) {
-	return s.RecordTenantContext(ctx, name, src, workload, "", cfg, topts)
-}
-
-// RecordTenantContext is RecordContext with the run stamped as tenant's.
-// The tenant lands in the manifest — including the provisional one, so
-// even a crashed recording stays attributable — and scopes ListTenant and
-// FleetDiffTenant.
+// RecordTenantContext is Record with cooperative cancellation and the run
+// stamped as tenant's ("" for none). The tenant lands in the manifest —
+// including the provisional one, so even a crashed recording stays
+// attributable — and scopes ListTenant and FleetDiffTenant. Crash safety:
+// the program source and a provisional manifest (marked degraded with
+// reason "recording-interrupted") are persisted atomically before the
+// profiled run starts, so a crash or kill at any point — including
+// mid-trace-write — leaves a directory that List still names and Replay
+// partially recovers. On cancellation or a contained panic the partial
+// trace and provisional manifest are kept and the *algoprof.PartialError
+// is returned; only outright setup failures remove the run directory
+// again.
 func (s *Store) RecordTenantContext(ctx context.Context, name, src, workload, tenant string, cfg algoprof.Config, topts trace.WriterOptions) (*Run, error) {
 	dir, err := s.runDir(name)
 	if err != nil {
@@ -467,36 +463,24 @@ func (s *Store) Load(name string) (*Run, error) {
 // Replay loads a stored run and re-runs the profiler offline on its
 // recorded trace, under the manifest's configuration. The replayed profile
 // is byte-identical to the recorded one; program outputs come from the
-// manifest.
+// manifest. Runs whose recording was interrupted (crash-shaped traces with
+// no index or trailer) replay through the reader's recovery path and come
+// back as degraded profiles covering the captured prefix.
 func (s *Store) Replay(name string) (*Run, error) {
-	return s.ReplayContext(context.Background(), name)
+	return s.ReplayParallel(context.Background(), name, 1)
 }
 
-// ReplayContext is Replay with cooperative cancellation, checked at every
-// trace frame. Runs whose recording was interrupted (crash-shaped traces
-// with no index or trailer) replay through the reader's recovery path and
-// come back as degraded profiles covering the captured prefix.
-func (s *Store) ReplayContext(ctx context.Context, name string) (*Run, error) {
-	return s.replayWith(ctx, name, algoprof.ReplayProgramThreadsContext)
-}
-
-// ReplayParallel is Replay with the trace's frame decoding fanned out over
-// workers goroutines (≤ 0 means GOMAXPROCS); the resulting profile is
+// ReplayParallel is Replay with cooperative cancellation, checked at every
+// trace frame, and with the trace's frame decoding fanned out over workers
+// goroutines (≤ 0 means GOMAXPROCS); the resulting profile is
 // byte-identical to a sequential replay's. v1 and interrupted traces fall
-// back to the sequential path automatically.
+// back to the sequential path automatically, as does workers == 1.
 func (s *Store) ReplayParallel(ctx context.Context, name string, workers int) (*Run, error) {
-	return s.replayWith(ctx, name, func(ctx context.Context, prog *bytecode.Program, cfg algoprof.Config, tr *trace.Reader, threads map[int]*trace.Reader) (*algoprof.Profile, error) {
-		return algoprof.ReplayProgramThreadsParallel(ctx, prog, cfg, tr, threads, workers)
-	})
-}
-
-// replayWith loads a run and drives one replay strategy over its traces.
-func (s *Store) replayWith(ctx context.Context, name string, replay func(context.Context, *bytecode.Program, algoprof.Config, *trace.Reader, map[int]*trace.Reader) (*algoprof.Profile, error)) (*Run, error) {
 	st, err := s.load(name)
 	if err != nil {
 		return nil, err
 	}
-	prof, err := replay(ctx, st.prog, st.run.Manifest.Config, st.main, st.threads)
+	prof, err := algoprof.ReplayProgramThreadsParallel(ctx, st.prog, st.run.Manifest.Config, st.main, st.threads, workers)
 	if err != nil {
 		return nil, err
 	}

@@ -9,8 +9,9 @@ import (
 
 // CheckTree validates the repetition tree a core profiler built after its
 // Finish: internal profiler errors, invocation accounting (recorded
-// history never exceeds started invocations, indices strictly increasing,
-// parent links in range, nothing left active), and cost conservation —
+// history never exceeds started invocations, each index recorded at most
+// once and below the started count, parent links in range, nothing left
+// active), and cost conservation —
 // per-invocation history sums never exceed the node's exact totals, with
 // equality on full-fidelity runs. The conservation check is what holds
 // even under sampling degradation: sampling drops records, never counts.
@@ -38,12 +39,16 @@ func CheckTree(p *core.Profiler, tolerant bool) []Violation {
 		if n.Invocations() > n.Started() {
 			add("tree-accounting", "node %s: %d recorded > %d started", name, n.Invocations(), n.Started())
 		}
-		prev := -1
+		// History is appended as invocations complete, and under recursion
+		// folding same-node invocations nest, so indices need not increase:
+		// an inner invocation completes before the outer one it started
+		// after.
+		seen := make(map[int]bool, len(n.History))
 		for _, inv := range n.History {
-			if inv.Index <= prev {
-				add("tree-accounting", "node %s: invocation index %d after %d", name, inv.Index, prev)
+			if seen[inv.Index] {
+				add("tree-accounting", "node %s: invocation index %d recorded twice", name, inv.Index)
 			}
-			prev = inv.Index
+			seen[inv.Index] = true
 			if inv.Index >= n.Started() {
 				add("tree-accounting", "node %s: invocation index %d >= started %d", name, inv.Index, n.Started())
 			}
