@@ -400,11 +400,10 @@ type Profiler struct {
 	stack []*Node // shadow stack (§3.2)
 
 	// allocatedBy records the repetition node active at each entity's
-	// allocation in a dense base-offset slice keyed by entity id (ids are
-	// monotonic and never reused); the classifier uses it to tell
-	// constructions from modifications.
-	abBase      uint64
-	allocatedBy []*Node
+	// allocation, keyed by entity id (ids are monotonic per thread and
+	// never reused); the classifier uses it to tell constructions from
+	// modifications.
+	allocatedBy snapshot.Table[*Node]
 
 	// keys interns CostKeys; stepID is the pre-interned id of cost{STEP},
 	// the single hottest counter.
@@ -424,10 +423,9 @@ type Profiler struct {
 	ftTIDs  []int32
 	ftKnown []bool
 
-	// etTIDs caches interned type ids per entity id in a dense base-offset
-	// table (0 = unknown, else tid + 2).
-	etBase uint64
-	etTIDs []int32
+	// etTIDs caches interned type ids per entity id (0 = unknown, else
+	// tid + 2).
+	etTIDs snapshot.Table[int32]
 
 	// events counts consumed listener events. It is atomic because
 	// EventCount may be read from other goroutines (service stats, quota
@@ -541,24 +539,20 @@ func (p *Profiler) Root() *Node { return p.root }
 
 // AllocatedBy returns the repetition node that allocated entity id, or nil.
 func (p *Profiler) AllocatedBy(id uint64) *Node {
-	if p.allocatedBy == nil || id < p.abBase {
-		return nil
+	if n := p.allocatedBy.Peek(id); n != nil {
+		return *n
 	}
-	off := id - p.abBase
-	if off >= uint64(len(p.allocatedBy)) {
-		return nil
-	}
-	return p.allocatedBy[off]
+	return nil
 }
 
 // EachAllocation calls f, in entity-id order, for every entity whose
 // allocation the profiler saw, with the repetition node that allocated it.
 func (p *Profiler) EachAllocation(f func(id uint64, n *Node)) {
-	for off, n := range p.allocatedBy {
-		if n != nil {
-			f(p.abBase+uint64(off), n)
+	p.allocatedBy.Each(func(id uint64, n **Node) {
+		if *n != nil {
+			f(id, *n)
 		}
-	}
+	})
 }
 
 // Errors returns internal consistency problems detected during profiling.
@@ -991,34 +985,7 @@ func (p *Profiler) Alloc(obj events.Entity, classID int) {
 			inv.costs.add(p.keys.typedID(OpNew, NoInput, tid), 1)
 		}
 	}
-	id := obj.EntityID()
-	if p.allocatedBy == nil {
-		p.abBase = id
-	} else if id < p.abBase {
-		shift := p.abBase - id
-		grown := make([]*Node, uint64(len(p.allocatedBy))+shift)
-		copy(grown[shift:], p.allocatedBy)
-		p.allocatedBy, p.abBase = grown, id
-	}
-	off := id - p.abBase
-	if off >= uint64(len(p.allocatedBy)) {
-		if off < uint64(cap(p.allocatedBy)) {
-			// The slice only grows, so capacity beyond len is still nil.
-			p.allocatedBy = p.allocatedBy[:off+1]
-		} else {
-			newCap := 2 * cap(p.allocatedBy)
-			if newCap < 64 {
-				newCap = 64
-			}
-			if uint64(newCap) < off+1 {
-				newCap = int(off + 1)
-			}
-			grown := make([]*Node, off+1, newCap)
-			copy(grown, p.allocatedBy)
-			p.allocatedBy = grown
-		}
-	}
-	p.allocatedBy[off] = p.tn
+	*p.allocatedBy.Slot(obj.EntityID()) = p.tn
 }
 
 // InputRead implements events.Listener.
@@ -1069,40 +1036,14 @@ func (p *Profiler) fieldTypeID(fieldID int) int32 {
 // monotonic counters), so repeated accesses of the same array resolve
 // their typed counters without hashing the type string.
 func (p *Profiler) entityTypeID(e events.Entity) int32 {
-	id := e.EntityID()
-	if p.etTIDs == nil {
-		p.etBase = id
-	} else if id < p.etBase {
-		shift := p.etBase - id
-		grown := make([]int32, uint64(len(p.etTIDs))+shift)
-		copy(grown[shift:], p.etTIDs)
-		p.etTIDs, p.etBase = grown, id
-	}
-	off := id - p.etBase
-	if off >= uint64(len(p.etTIDs)) {
-		if off < uint64(cap(p.etTIDs)) {
-			// The table only grows, so capacity beyond len is still zero.
-			p.etTIDs = p.etTIDs[:off+1]
-		} else {
-			newCap := 2 * cap(p.etTIDs)
-			if newCap < 64 {
-				newCap = 64
-			}
-			if uint64(newCap) < off+1 {
-				newCap = int(off + 1)
-			}
-			grown := make([]int32, off+1, newCap)
-			copy(grown, p.etTIDs)
-			p.etTIDs = grown
-		}
-	}
-	if v := p.etTIDs[off]; v != 0 {
+	slot := p.etTIDs.Slot(e.EntityID())
+	if v := *slot; v != 0 {
 		return v - 2
 	}
 	tid := int32(-1)
 	if name := e.TypeName(); name != "" {
 		tid = p.keys.typeID(name)
 	}
-	p.etTIDs[off] = tid + 2 // offset so 0 keeps meaning "unknown"
+	*slot = tid + 2 // offset so 0 keeps meaning "unknown"
 	return tid
 }

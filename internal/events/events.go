@@ -9,6 +9,12 @@
 // allocations, and external input/output operations.
 package events
 
+// SpanShift splits entity ids into spans, one per VM thread: a thread
+// numbers its entities consecutively from tid<<SpanShift (the main thread,
+// tid 0, from 1), so id>>SpanShift is the span of the thread that
+// allocated the entity. Tables keyed by entity id stay dense per span.
+const SpanShift = 40
+
 // Entity is a heap entity — an object or an array — as seen by profiling
 // listeners. Listeners use it for identity (input identification via
 // snapshot overlap) and for traversal (input size measurement).

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"algoprof"
+	"algoprof/internal/trace/store"
 	"algoprof/internal/workloads"
 )
 
@@ -511,5 +512,25 @@ func TestInvalidSubmissions(t *testing.T) {
 	}
 	if got := len(s.Jobs("")); got != 0 {
 		t.Fatalf("%d jobs admitted from invalid submissions", got)
+	}
+}
+
+// TestRunJobThreadReadsMainArray: jobs run in-process, so a job whose
+// spawned thread reads an array main filled must come back with a
+// profile, recorded or not, rather than take the daemon down.
+func TestRunJobThreadReadsMainArray(t *testing.T) {
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, persist := range []bool{false, true} {
+		spec := ExecSpec{ID: fmt.Sprintf("shared-%v", persist), Program: workloads.SharedArrayThread(), Persist: persist}
+		out, err := RunJob(context.Background(), st, spec, nil, nil)
+		if err != nil {
+			t.Fatalf("persist=%v: %v", persist, err)
+		}
+		if len(out.ProfileJSON) == 0 || out.Degraded {
+			t.Fatalf("persist=%v: outcome %+v, want a full profile", persist, out)
+		}
 	}
 }

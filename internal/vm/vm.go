@@ -151,7 +151,7 @@ const (
 	spawnBits          = 8
 	maxSpawnsPerThread = 1<<spawnBits - 1
 	maxSpawnDepth      = 3
-	entityBaseShift    = 40
+	entityBaseShift    = events.SpanShift
 )
 
 // thread is one spawned VM thread in the run's registry.

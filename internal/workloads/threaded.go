@@ -45,3 +45,62 @@ class Main {
   }
 }`, spawns, joins)
 }
+
+// SharedArrayThread is a program whose spawned thread reads an array the
+// main thread filled, after allocating and writing an array of its own: a
+// spawned VM shares the live heap, so the thread's profiler meets entity
+// ids of two threads, 2^40 apart (see events.SpanShift).
+func SharedArrayThread() string {
+	return `
+class Main {
+  public static void main() {
+    int[] a = new int[16];
+    for (int i = 0; i < 16; i++) { a[i] = rand(100); }
+    int h = spawn Main.work(a);
+    join h;
+    print("joined");
+  }
+  static void work(int[] a) {
+    int[] b = new int[8];
+    for (int i = 0; i < 8; i++) { b[i] = i; }
+    int s = 0;
+    for (int i = 0; i < 16; i++) { s = s + a[i]; }
+    print(s);
+  }
+}`
+}
+
+// SharedListThread is SharedArrayThread through a linked structure: the
+// thread builds a Cell list of its own, then traverses the list main
+// built.
+func SharedListThread() string {
+	return `
+class Cell { Cell next; int value; Cell(int value) { this.value = value; } }
+class Main {
+  public static void main() {
+    Cell head = build(12);
+    int h = spawn Main.work(head);
+    join h;
+    print("joined");
+  }
+  static Cell build(int size) {
+    Cell head = null;
+    for (int i = 0; i < size; i++) {
+      Cell x = new Cell(rand(1000));
+      x.next = head;
+      head = x;
+    }
+    return head;
+  }
+  static int count(Cell head) {
+    int n = 0;
+    Cell cur = head;
+    while (cur != null) { n = n + 1; cur = cur.next; }
+    return n;
+  }
+  static void work(Cell shared) {
+    Cell own = build(6);
+    print(count(own) + count(shared));
+  }
+}`
+}

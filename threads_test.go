@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"algoprof"
+	"algoprof/internal/mj/compiler"
 	"algoprof/internal/trace"
 	"algoprof/internal/workloads"
 )
@@ -132,5 +133,60 @@ func TestRecordWithoutSinkRejectsSpawn(t *testing.T) {
 	_, err := algoprof.Record(workloads.Threaded(2, 8), algoprof.Config{}, io.Discard, trace.WriterOptions{})
 	if err == nil || !strings.Contains(err.Error(), "per-thread session provider") {
 		t.Errorf("sinkless record of spawning program: err = %v", err)
+	}
+}
+
+// TestSpawnedThreadTouchesMainEntities: a spawned VM shares the live heap,
+// so a thread may read what main allocated after allocating entities of
+// its own. The thread's profiler then meets ids of two spans, 2^40 apart;
+// its id tables must hold both without stretching across the gap, and Run
+// and Record must return the same profile. The recording replays, though
+// not to the live profile: the thread's trace never journals main's
+// entities, so replay sees them as linkless stand-ins.
+func TestSpawnedThreadTouchesMainEntities(t *testing.T) {
+	for name, src := range map[string]string{
+		"array": workloads.SharedArrayThread(),
+		"list":  workloads.SharedListThread(),
+	} {
+		t.Run(name, func(t *testing.T) {
+			prof, err := algoprof.Run(src, algoprof.Config{})
+			if err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+			if prof.Threads != 1 {
+				t.Fatalf("Threads = %d, want 1", prof.Threads)
+			}
+			var main bytes.Buffer
+			sink := &memSink{}
+			rec, err := algoprof.RecordSinkContext(t.Context(), src, algoprof.Config{}, &main, trace.WriterOptions{Compress: true}, sink.open)
+			if err != nil {
+				t.Fatalf("Record: %v", err)
+			}
+			want, err := prof.JSON()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := rec.JSON()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("recorded profile differs from Run's\nrun:\n%s\nrecord:\n%s", want, got)
+			}
+			r, threads, err := sink.readers(main.Bytes())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(threads) != 1 {
+				t.Fatalf("recorded %d thread traces, want 1", len(threads))
+			}
+			prog, err := compiler.CompileSource(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := algoprof.ReplayProgramThreadsContext(t.Context(), prog, algoprof.Config{}, r, threads); err != nil {
+				t.Fatalf("Replay: %v", err)
+			}
+		})
 	}
 }
