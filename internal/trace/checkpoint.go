@@ -1,7 +1,8 @@
 package trace
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"algoprof/internal/events"
 	"algoprof/internal/events/pipeline"
@@ -14,7 +15,7 @@ import (
 // E1/E2 (real pipeline entities) are not clobbered with shadows — so a heap
 // restored from a checkpoint is structurally identical to the heap a
 // sequential replay holds at that boundary.
-func (h shadowHeap) applyRecord(r *pipeline.Record) error {
+func (h *shadowHeap) applyRecord(r *pipeline.Record) error {
 	c := *r
 	return bindBody(h, &c)
 }
@@ -24,26 +25,27 @@ func (h shadowHeap) applyRecord(r *pipeline.Record) error {
 // deterministic and Merkle-stable), then every entity's links and touched
 // slots. Identities come first so links and ref slots can resolve forward
 // references on decode.
-func encodeCheckpoint(h shadowHeap) []byte {
-	ids := make([]int64, 0, len(h))
-	for id := range h {
-		ids = append(ids, id)
+func encodeCheckpoint(h *shadowHeap) []byte {
+	all := make([]*shadowEntity, 0, h.len())
+	for _, s := range h.spans {
+		all = append(all, s.ents...)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	for _, e := range h.other {
+		all = append(all, e)
+	}
+	slices.SortFunc(all, func(a, b *shadowEntity) int { return cmp.Compare(int64(a.id), int64(b.id)) })
 
 	b := []byte{tagCheckpoint}
-	b = putUvarint(b, uint64(len(ids)))
-	for _, id := range ids {
-		e := h[id]
-		b = putUvarint(b, uint64(id))
+	b = putUvarint(b, uint64(len(all)))
+	for _, e := range all {
+		b = putUvarint(b, e.id)
 		b = putVarint(b, int64(e.classID))
 		b = putUvarint(b, uint64(e.capacity))
 		b = append(b, byte(e.mode))
 		b = putUvarint(b, uint64(len(e.typeName)))
 		b = append(b, e.typeName...)
 	}
-	for _, id := range ids {
-		e := h[id]
+	for _, e := range all {
 		b = putUvarint(b, uint64(len(e.links)))
 		for _, l := range e.links {
 			b = putUvarint(b, uint64(l.fieldID))
@@ -73,13 +75,13 @@ func encodeCheckpoint(h shadowHeap) []byte {
 // decodeCheckpoint rebuilds a shadow heap from a checkpoint frame payload
 // (tag already verified by the caller). Every read is bounds-checked; any
 // damage yields a typed *CorruptError, never a panic.
-func decodeCheckpoint(b []byte) (shadowHeap, error) {
+func decodeCheckpoint(b []byte) (*shadowHeap, error) {
 	pos := 1 // past tagCheckpoint
 	n, pos, err := readUint(b, pos, 1<<32, "checkpoint entity count")
 	if err != nil {
 		return nil, err
 	}
-	h := shadowHeap{}
+	h := &shadowHeap{}
 	// An entity takes at least 7 bytes: five one-byte identity fields,
 	// then its link and slot counts.
 	order := make([]*shadowEntity, 0, capFor(n, b, pos, 7))
@@ -119,10 +121,10 @@ func decodeCheckpoint(b []byte) (shadowHeap, error) {
 			mode:     events.ElemMode(mode),
 		}
 		pos += nameLen
-		if _, dup := h[int64(id)]; dup {
+		if h.find(int64(id)) != nil {
 			return nil, corruptf("checkpoint entity %d defined twice", id)
 		}
-		h[int64(id)] = e
+		h.put(int64(id), e)
 		order = append(order, e)
 	}
 	// resolve maps a stored target id to its entity; 0 is nil, and ids the
@@ -132,8 +134,8 @@ func decodeCheckpoint(b []byte) (shadowHeap, error) {
 		if id == 0 {
 			return nil, nil
 		}
-		e, ok := h[int64(id)]
-		if !ok {
+		e := h.find(int64(id))
+		if e == nil {
 			return nil, corruptf("checkpoint references undefined entity %d", id)
 		}
 		return e, nil

@@ -7,7 +7,7 @@ import (
 
 // Index is a trace's metadata, loaded without reading the data frames:
 // OpenIndex reads only the fixed-size header, the trailer, and the index
-// frame the trailer points at. For a v2 trace that includes every frame's
+// frame the trailer points at. From format v2 on that includes every frame's
 // Merkle leaf and the tree root, so range proofs and trace diffs work from
 // the footer alone.
 type Index struct {
@@ -24,7 +24,7 @@ type Index struct {
 	Records      uint64
 	FinalClock   uint64
 	Instructions uint64
-	// Checkpoints are the checkpoint frame indices, ascending (v2 only).
+	// Checkpoints are the checkpoint frame indices, ascending (v2 on).
 	Checkpoints []int
 	// Leaves and Root are the Merkle footer (HasMerkle reports presence —
 	// v1 traces have none).
@@ -112,7 +112,8 @@ func readIndex(f *os.File) (*Index, error) {
 	}, nil
 }
 
-// HasMerkle reports whether the trace carries a Merkle footer (format v2).
+// HasMerkle reports whether the trace carries a Merkle footer (format v2
+// on).
 func (r *Reader) HasMerkle() bool { return r.hasMerkle }
 
 // MerkleRoot returns the trace's Merkle root from the footer; ok is false

@@ -50,7 +50,7 @@ func (r *Reader) ReplayRange(ctx context.Context, lo, hi int, dispatch func(*pip
 	if lo < 0 || hi > n || lo > hi {
 		return fmt.Errorf("trace: frame range [%d,%d) out of bounds (trace has %d frames)", lo, hi, n)
 	}
-	heap := shadowHeap{}
+	heap := &shadowHeap{}
 	d := r.newDecoder()
 	defer d.release()
 	start := 0
@@ -219,7 +219,7 @@ func (r *Reader) ReplayParallel(ctx context.Context, workers int, dispatch func(
 	}()
 	go func() { wg.Wait(); close(workersDone) }()
 
-	heap := shadowHeap{}
+	heap := &shadowHeap{}
 	for i := 0; i < nChunks; i++ {
 		if ctx.Err() != nil {
 			cause := context.Cause(ctx)
