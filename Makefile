@@ -68,14 +68,15 @@ perfbench-smoke:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Short live-fuzz legs over the decoder no-panic contracts: the trace
-# reader must recover-or-refuse arbitrary bytes (v1 recovery scan and the
-# v2 surface — checkpoints, range replay, parallel replay, range proofs),
-# the checkpoint decoder must reject damage typed, and the path-counter
-# decoder must reject arbitrary table/counter combinations without
-# crashing or miscounting. The seed corpora also run as plain fixtures in
-# `make test`. The FuzzReplayV2 leg caps input minimization at 100 runs:
-# at the default 60 s, minimizing the first new-coverage input it finds
-# outlasts the whole 10 s leg.
+# reader must recover-or-refuse arbitrary bytes (the recovery scan, v3's
+# delta-coded entity ids, and the checkpoint surface — checkpoints, range
+# replay, parallel replay, range proofs — seeded with v3 traces and the
+# pinned v2 golden trace), the checkpoint decoder must reject damage
+# typed, and the path-counter decoder must reject arbitrary table/counter
+# combinations without crashing or miscounting. The seed corpora also run
+# as plain fixtures in `make test`. The FuzzReplayV2 leg caps input
+# minimization at 100 runs: at the default 60 s, minimizing the first
+# new-coverage input it finds outlasts the whole 10 s leg.
 fuzz-smoke:
 	$(GO) test -run Fuzz -fuzz='FuzzReplay$$' -fuzztime=10s ./internal/trace
 	$(GO) test -run Fuzz -fuzz=FuzzReplayV2 -fuzztime=10s -fuzzminimizetime=100x ./internal/trace
