@@ -90,35 +90,40 @@ fuzz-smoke:
 # through a daemon routing jobs to two worker HTTP servers). Every
 # schedule must succeed, degrade deterministically, or fail with a typed
 # fault class; a lost job, an untyped failure or an ingested damaged
-# artifact exits non-zero.
+# artifact exits non-zero. The race binary lives in a private temporary
+# directory that the shell's EXIT trap removes whatever the outcome.
 chaos-smoke:
-	$(GO) build -race -o /tmp/algoprof-chaos ./cmd/algoprof
-	/tmp/algoprof-chaos chaos -target lib -seeds 32
-	/tmp/algoprof-chaos chaos -target service -seeds 16
-	/tmp/algoprof-chaos chaos -target dist -seeds 8
-	rm -f /tmp/algoprof-chaos
+	dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+	$(GO) build -race -o "$$dir/algoprof" ./cmd/algoprof && \
+	"$$dir/algoprof" chaos -target lib -seeds 32 && \
+	"$$dir/algoprof" chaos -target service -seeds 16 && \
+	"$$dir/algoprof" chaos -target dist -seeds 8
 
 # End-to-end daemon smoke (see docs/SERVICE.md): boot an in-process
 # algoprofd on an ephemeral port, submit a job over HTTP, stream its NDJSON
 # result, audit the persisted run (the same checks `algoprof verify` runs),
-# byte-compare the returned profile against the library API, then a short
-# loadgen where every job must terminate ok/degraded/typed-failed with
-# zero lost. Then a short distributed benchmark with its -check gate (zero
-# lost jobs and zero untyped failures in every crash leg) against a
-# throwaway output file.
+# byte-compare the returned profile against the library API, do the same
+# for an all_backends job, then a short loadgen where every job must
+# terminate ok/degraded/typed-failed with zero lost. Then a short
+# distributed benchmark with its -check gate (zero lost jobs and zero
+# untyped failures in every crash leg) against a throwaway output file in
+# a temporary directory that the shell's EXIT trap removes.
 service-smoke:
-	$(GO) run ./cmd/algoprofd smoke -jobs 60
-	$(GO) run ./cmd/algoprofd distbench -jobs 12 -out /tmp/BENCH_dispatch_smoke.json -check
-	rm -f /tmp/BENCH_dispatch_smoke.json
+	dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+	$(GO) run ./cmd/algoprofd smoke -jobs 60 && \
+	$(GO) run ./cmd/algoprofd distbench -jobs 12 -out "$$dir/BENCH_dispatch_smoke.json" -check
 
 # Regenerate the committed BENCH_service.json baseline: a real daemon on a
-# local port hammered with 1000 concurrent jobs across 4 tenants.
+# local port hammered with 1000 concurrent jobs across 4 tenants. Its
+# binary and store live in a temporary directory that the shell's EXIT
+# trap removes.
 bench-service:
-	$(GO) build -o /tmp/algoprofd-bench ./cmd/algoprofd
-	/tmp/algoprofd-bench serve -addr 127.0.0.1:7171 -store /tmp/algoprofd-bench-store & \
+	dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+	$(GO) build -o "$$dir/algoprofd" ./cmd/algoprofd || exit $$?; \
+	"$$dir/algoprofd" serve -addr 127.0.0.1:7171 -store "$$dir/store" & \
 	APD=$$!; sleep 1; \
-	/tmp/algoprofd-bench loadgen -addr http://127.0.0.1:7171 -jobs 1000 -c 64 -tenants 4 -out BENCH_service.json -check; \
-	RC=$$?; kill -TERM $$APD; wait $$APD 2>/dev/null; rm -rf /tmp/algoprofd-bench-store; exit $$RC
+	"$$dir/algoprofd" loadgen -addr http://127.0.0.1:7171 -jobs 1000 -c 64 -tenants 4 -out BENCH_service.json -check; \
+	RC=$$?; kill -TERM $$APD; wait $$APD 2>/dev/null; exit $$RC
 
 # Regenerate the committed BENCH_dispatch.json baseline: a crash-0/1/2
 # leg each pushing a batch through the distributed dispatch stack while

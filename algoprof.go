@@ -26,6 +26,8 @@ import (
 	"fmt"
 	"sort"
 
+	"algoprof/internal/bbprof"
+	"algoprof/internal/cct"
 	"algoprof/internal/classify"
 	"algoprof/internal/core"
 	"algoprof/internal/fit"
@@ -127,10 +129,21 @@ type Config struct {
 	// Verify runs the online invariant verifier (internal/verify) as one
 	// more transport consumer: the event stream is checked for
 	// well-formedness while the program runs, and the repetition tree is
-	// cross-checked against the stream afterwards. Any violation fails the
-	// run with a *verify.Error (fault class: corruption) instead of
-	// returning a silently inconsistent profile.
+	// cross-checked against the stream afterwards (and, with Backends,
+	// the CCT's call counts too). Any violation fails the run with a
+	// *verify.Error (fault class: corruption) instead of returning a
+	// silently inconsistent profile.
 	Verify bool
+	// Backends runs the paper's two comparison profilers on the same
+	// execution: the calling-context tree of Figure 2 and Goldsmith et
+	// al.'s basic-block counter, one of each per thread. The VM then
+	// emits every method's entry and exit and the profiler's stream is
+	// filtered back to its own plan, so the profile is identical to a run
+	// without Backends; Profile.Baselines holds the two baselines'
+	// results. A recording also carries the instruction ticks the block
+	// counter needs on replay, so replaying with Backends needs a
+	// recording made with it. Events mode only.
+	Backends bool `json:",omitempty"`
 	// Watchdog is an extra hook composed into the VM watchdog alongside
 	// the context and Limits.Deadline checks; a non-nil error halts the VM
 	// (a *vm.Halt degrades the run cleanly, anything else fails it). Chaos
@@ -217,7 +230,28 @@ type Profile struct {
 	// "interrupted").
 	DegradedReasons []string
 
+	// Baselines holds the comparison profilers' results of a
+	// Config.Backends run, one entry per thread: the main thread's first,
+	// then the spawned threads' in thread-id order. Nil otherwise.
+	Baselines []Baselines
+
 	raw rawProfile
+}
+
+// Baselines is one VM thread's results from the paper's two comparison
+// profilers (Config.Backends).
+type Baselines struct {
+	// Thread is the thread id: 0 for the main thread.
+	Thread int
+	// CCT is the thread's finished calling-context tree.
+	CCT *cct.Profiler
+	// Blocks holds the thread's basic-block execution counts.
+	Blocks bbprof.Run
+	// Instructions is the thread's own executed instruction count.
+	Instructions uint64
+	// Program is the instrumented program that the CCT's method ids and
+	// the block locations refer to.
+	Program *bytecode.Program
 }
 
 type rawProfile struct {
@@ -333,7 +367,9 @@ func RunProgram(prog *bytecode.Program, cfg Config) (*Profile, error) {
 // a recording or a replay: traces carry the exact event stream, whose
 // records path counters elide, so those require events mode (record in
 // events mode and profile the trace under either mode's semantics
-// offline).
+// offline). Backends does too: path counting rewrites the loops'
+// bytecode, which would change the blocks and instruction costs the two
+// baselines count.
 func instrumentFor(prog *bytecode.Program, cfg Config, traced bool) (*instrument.Instrumented, error) {
 	mode := instrument.Optimized
 	switch cfg.Mode {
@@ -341,6 +377,9 @@ func instrumentFor(prog *bytecode.Program, cfg Config, traced bool) (*instrument
 	case ModePaths:
 		if traced {
 			return nil, fmt.Errorf("algoprof: trace recording and replay require events mode (got mode %q)", cfg.Mode)
+		}
+		if cfg.Backends {
+			return nil, fmt.Errorf("algoprof: Backends requires events mode (got mode %q)", cfg.Mode)
 		}
 		mode = instrument.Paths
 	default:

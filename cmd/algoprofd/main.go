@@ -402,28 +402,19 @@ func smoke(jobs int, out string) error {
 
 	// 1. Submit one job over HTTP and wait for its terminal view.
 	src := workloads.RunningExample(workloads.Random, 32, 8, 1)
-	body, _ := json.Marshal(service.SubmitRequest{
+	req := service.SubmitRequest{
 		Tenant: "smoke", Workload: "smoke-e2e", Program: src,
 		Config: service.JobConfig{Seed: 7},
-	})
-	resp, err := http.Post(base+"/v1/jobs?wait=1", "application/json", bytes.NewReader(body))
+	}
+	body, _ := json.Marshal(req)
+	v, err := submitWait(base, body)
 	if err != nil {
 		return err
 	}
-	var sr service.SubmitResponse
-	err = json.NewDecoder(resp.Body).Decode(&sr)
-	resp.Body.Close()
-	if err != nil {
-		return err
-	}
-	if len(sr.Jobs) != 1 || sr.Jobs[0].Status != service.StatusOK {
-		return fmt.Errorf("smoke: submit returned %+v", sr)
-	}
-	v := sr.Jobs[0]
 	fmt.Printf("smoke: job %s ok in %dms (%d events, %d trace bytes)\n", v.ID, v.RunMs, v.Events, v.TraceBytes)
 
 	// 2. Stream a second job's NDJSON events to the result line.
-	resp, err = http.Post(base+"/v1/jobs", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(base+"/v1/jobs", "application/json", bytes.NewReader(body))
 	if err != nil {
 		return err
 	}
@@ -453,10 +444,6 @@ func smoke(jobs int, out string) error {
 
 	// 3. The persisted run passes the forensic audit `algoprof verify`
 	// runs, and its profile is byte-identical to the library API's.
-	runDir := filepath.Join(storeDir, v.ID)
-	if findings := store.AuditRun(runDir); len(findings) != 0 {
-		return fmt.Errorf("smoke: audit findings on service run: %v", findings)
-	}
 	prof, err := algoprof.Run(src, algoprof.Config{Seed: 7})
 	if err != nil {
 		return err
@@ -469,10 +456,35 @@ func smoke(jobs int, out string) error {
 	if err := json.Compact(&compact, want); err != nil {
 		return err
 	}
-	if !bytes.Equal(v.Profile, compact.Bytes()) {
-		return fmt.Errorf("smoke: HTTP profile differs from library run")
+	checkRun := func(v *service.JobView) error {
+		if findings := store.AuditRun(filepath.Join(storeDir, v.ID)); len(findings) != 0 {
+			return fmt.Errorf("smoke: audit findings on service run %s: %v", v.ID, findings)
+		}
+		if !bytes.Equal(v.Profile, compact.Bytes()) {
+			return fmt.Errorf("smoke: HTTP profile of %s differs from library run", v.ID)
+		}
+		return nil
+	}
+	if err := checkRun(v); err != nil {
+		return err
 	}
 	fmt.Println("smoke: persisted run verified; profile matches library API byte-for-byte")
+
+	// The same job with all_backends runs once, verified, and adds the
+	// CCT and basic-block summaries; its profile is still the library's.
+	req.Workload, req.Config.AllBackends = "smoke-backends", true
+	body, _ = json.Marshal(req)
+	if v, err = submitWait(base, body); err != nil {
+		return err
+	}
+	if v.Backends == nil {
+		return fmt.Errorf("smoke: all_backends job %s has no backends summary", v.ID)
+	}
+	if err := checkRun(v); err != nil {
+		return err
+	}
+	fmt.Printf("smoke: all_backends job %s ok, verified (hottest %s; %d trace bytes)\n",
+		v.ID, v.Backends.HottestMethod, v.TraceBytes)
 
 	// 4. A short load: every job must terminate in the trichotomy.
 	rep, err := runLoadgen(base, jobs, 16, 3, out, nil)
@@ -490,4 +502,23 @@ func smoke(jobs int, out string) error {
 	defer cancel()
 	svc.Drain(ctx)
 	return nil
+}
+
+// submitWait submits one job over HTTP, waits for its terminal view, and
+// requires it to be ok.
+func submitWait(base string, body []byte) (*service.JobView, error) {
+	resp, err := http.Post(base+"/v1/jobs?wait=1", "application/json", bytes.NewReader(body))
+	if err != nil {
+		return nil, err
+	}
+	var sr service.SubmitResponse
+	err = json.NewDecoder(resp.Body).Decode(&sr)
+	resp.Body.Close()
+	if err != nil {
+		return nil, err
+	}
+	if len(sr.Jobs) != 1 || sr.Jobs[0].Status != service.StatusOK {
+		return nil, fmt.Errorf("smoke: submit returned %+v", sr)
+	}
+	return sr.Jobs[0], nil
 }

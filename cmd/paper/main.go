@@ -28,6 +28,7 @@ import (
 
 	"algoprof"
 	"algoprof/internal/experiments"
+	"algoprof/internal/mj/compiler"
 	"algoprof/internal/trace"
 	"algoprof/internal/workloads"
 )
@@ -361,7 +362,8 @@ func captureTrace(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	live, err := experiments.RecordBackends(src, sweep.Seed, f, trace.WriterOptions{Compress: true})
+	cfg := algoprof.Config{Seed: sweep.Seed, Backends: true}
+	live, err := algoprof.Record(src, cfg, f, trace.WriterOptions{Compress: true})
 	if err != nil {
 		f.Close()
 		return err
@@ -373,7 +375,11 @@ func captureTrace(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	replayed, err := experiments.ReplayBackends(src, r)
+	prog, err := compiler.CompileSource(src)
+	if err != nil {
+		return err
+	}
+	replayed, err := algoprof.ReplayProgram(prog, cfg, r)
 	if err != nil {
 		return err
 	}

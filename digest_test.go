@@ -169,10 +169,12 @@ func (m *memSink) readers(main []byte) (*trace.Reader, map[int]*trace.Reader, er
 
 // entryPointProfiles profiles src under cfg through every entry point the
 // digests pin: Run, Run with the verifier on, and — in events mode, the
-// only mode traces carry — a threaded recording with its sequential and
-// 2-worker replays. Small frames and frequent checkpoints give the
-// parallel replay frames to fan out. Traces carry no program output, so
-// the replays take Stdout and Output from the recording.
+// only mode traces and the comparison profilers carry — a verified run
+// with Backends, as a daemon all_backends job runs, which must also count
+// Run's events, and a threaded recording with its sequential and 2-worker
+// replays. Small frames and frequent checkpoints give the parallel replay
+// frames to fan out. Traces carry no program output, so the replays take
+// Stdout and Output from the recording.
 func entryPointProfiles(src string, cfg algoprof.Config) ([]string, []*algoprof.Profile, error) {
 	verified := cfg
 	verified.Verify = true
@@ -188,6 +190,16 @@ func entryPointProfiles(src string, cfg algoprof.Config) ([]string, []*algoprof.
 	if cfg.Mode == algoprof.ModePaths {
 		return names, profiles, nil
 	}
+	backends := verified
+	backends.Backends = true
+	b, err := algoprof.Run(src, backends)
+	if err != nil {
+		return nil, nil, fmt.Errorf("backends run: %w", err)
+	}
+	if b.EventCount() != profiles[0].EventCount() {
+		return nil, nil, fmt.Errorf("backends run counted %d events, run %d", b.EventCount(), profiles[0].EventCount())
+	}
+	names, profiles = append(names, "backends run"), append(profiles, b)
 	ctx := context.Background()
 	var main bytes.Buffer
 	sink := &memSink{}

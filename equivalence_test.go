@@ -223,10 +223,15 @@ func TestPathModeVerified(t *testing.T) {
 }
 
 // TestPathModeRejectsRecording pins the explicit error paths: traces carry
-// the exact event stream, so recording and replay refuse paths mode.
+// the exact event stream, so recording and replay refuse paths mode, and
+// so does a run with the comparison profilers, which count the
+// events-mode program's blocks and instructions.
 func TestPathModeRejectsRecording(t *testing.T) {
 	_, err := algoprof.Record(workloads.Listing3, algoprof.Config{Mode: algoprof.ModePaths}, io.Discard, trace.WriterOptions{})
 	if err == nil {
 		t.Fatal("Record accepted paths mode")
+	}
+	if _, err := algoprof.Run(workloads.Listing3, algoprof.Config{Mode: algoprof.ModePaths, Backends: true}); err == nil {
+		t.Fatal("Run accepted Backends in paths mode")
 	}
 }

@@ -259,7 +259,7 @@ func TestDispatchFallbackNoWorkers(t *testing.T) {
 	st := newDaemonStore(t)
 	d := New(Config{
 		Store:    st,
-		Fallback: service.NewLocalExecutor(st, nil),
+		Fallback: service.NewLocalExecutor(st),
 	})
 	spec := testSpec("j1-000007", true)
 	out, err := d.Execute(context.Background(), spec, nil)
@@ -290,7 +290,7 @@ func TestDispatchFallbackDeadFleet(t *testing.T) {
 		Workers:  []string{deadURL},
 		Store:    st,
 		Retry:    faultinject.RetryPolicy{Attempts: 2, Backoff: time.Millisecond},
-		Fallback: service.NewLocalExecutor(st, nil),
+		Fallback: service.NewLocalExecutor(st),
 		Logf:     t.Logf,
 	})
 	out, err := d.Execute(context.Background(), testSpec("j1-000008", true), nil)

@@ -207,7 +207,7 @@ func (w *Worker) handleExec(rw http.ResponseWriter, r *http.Request) {
 	}
 	outcome, err := service.RunJob(r.Context(), w.store, spec, func(n uint64) {
 		instructions.Store(n)
-	}, w.logf)
+	})
 	var files map[string][]byte
 	if spec.Persist {
 		files = w.collectRun(spec.ID)

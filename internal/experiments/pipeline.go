@@ -9,9 +9,7 @@ import (
 	"algoprof"
 	"algoprof/internal/bbprof"
 	"algoprof/internal/cct"
-	"algoprof/internal/instrument"
 	"algoprof/internal/mj/compiler"
-	"algoprof/internal/verify"
 	"algoprof/internal/vm"
 	"algoprof/internal/workloads"
 )
@@ -19,42 +17,36 @@ import (
 // ---------------------------------------------------------------------------
 // Single-pass backend comparison: one execution feeds the algorithmic
 // profiler, the CCT baseline, and the basic-block baseline through the
-// event transport, where comparing backends previously re-ran the workload
-// once per listener.
+// event transport (algoprof.Config.Backends), where comparing backends
+// previously re-ran the workload once per listener.
 
-// Backends is the result of one combined execution pass.
-type Backends struct {
-	// Profile is the algorithmic profile (the core consumed the stream
-	// filtered to the optimized plan, exactly as a dedicated run would).
-	Profile *algoprof.Profile
-	// CCT is the finished calling-context-tree baseline.
-	CCT *cct.Profiler
-	// BBRun is the basic-block baseline's counts for this run.
-	BBRun bbprof.Run
-	// Instructions is the executed instruction count.
-	Instructions uint64
-
-	ins *instrument.Instrumented
-}
-
-// CCTRender renders the CCT against the instrumented program.
-func (b *Backends) CCTRender() string { return cct.Render(b.CCT, b.ins.Prog) }
-
-// HottestExclusive is the CCT's hottest method by exclusive cost.
-func (b *Backends) HottestExclusive() string {
+// HottestExclusive is the thread's hottest method by exclusive CCT cost.
+func HottestExclusive(b algoprof.Baselines) string {
 	flat := b.CCT.Flat()
 	if len(flat) == 0 {
 		return ""
 	}
-	return b.ins.Prog.Sem.MethodByID(flat[0].MethodID).QualifiedName()
+	return b.Program.Sem.MethodByID(flat[0].MethodID).QualifiedName()
 }
 
-// TopBlock names the hottest basic block by raw execution count.
-func (b *Backends) TopBlock() string {
+// TopBlock names the thread's hottest basic block by raw execution count.
+func TopBlock(b algoprof.Baselines) string {
 	var best string
 	var bestCount int64 = -1
-	locs := make([]bbprof.Location, 0, len(b.BBRun.Counts))
-	for l := range b.BBRun.Counts {
+	for _, l := range blockOrder(b.Blocks) {
+		if c := b.Blocks.Counts[l]; c > bestCount {
+			bestCount = c
+			best = fmt.Sprintf("%s block %d (%d executions)",
+				b.Program.Sem.MethodByID(l.MethodID).QualifiedName(), l.Block, c)
+		}
+	}
+	return best
+}
+
+// blockOrder lists a run's block locations by method, then block.
+func blockOrder(run bbprof.Run) []bbprof.Location {
+	locs := make([]bbprof.Location, 0, len(run.Counts))
+	for l := range run.Counts {
 		locs = append(locs, l)
 	}
 	sort.Slice(locs, func(i, j int) bool {
@@ -63,77 +55,7 @@ func (b *Backends) TopBlock() string {
 		}
 		return locs[i].Block < locs[j].Block
 	})
-	for _, l := range locs {
-		if c := b.BBRun.Counts[l]; c > bestCount {
-			bestCount = c
-			best = fmt.Sprintf("%s block %d (%d executions)",
-				b.ins.Prog.Sem.MethodByID(l.MethodID).QualifiedName(), l.Block, c)
-		}
-	}
-	return best
-}
-
-// RunBackends executes src once and feeds all three backends from the one
-// event stream. The VM runs under the union of the consumers' plans and
-// the core consumer filters records down to the optimized plan, so its
-// profile is identical to a dedicated optimized run.
-func RunBackends(src string, seed uint64) (*Backends, error) {
-	return runBackends(src, seed, false)
-}
-
-// RunBackendsVerified is RunBackends with the online invariant verifier
-// riding the same stream as a fourth consumer. Beyond the stream
-// well-formedness checks, the verifier cross-checks the backends against
-// each other — repetition-tree accounting against the stream's loop/method
-// events, and the CCT's call counts against the stream's method entries —
-// so a bug that desynchronizes one backend surfaces as a typed
-// *verify.Error instead of a silently inconsistent comparison. The
-// benchmark paths stay on the unverified RunBackends.
-func RunBackendsVerified(src string, seed uint64) (*Backends, error) {
-	return runBackends(src, seed, true)
-}
-
-func runBackends(src string, seed uint64, verified bool) (*Backends, error) {
-	s, err := newBackendSetup(src)
-	if err != nil {
-		return nil, err
-	}
-	var chk *verify.Checker
-	if verified {
-		// The checker taps the raw (union-plan) stream: the loop events it
-		// sees are exactly the tree's, and its method-entry counts bound the
-		// optimized tree from above while matching the CCT exactly.
-		chk = verify.NewChecker()
-		s.tp.Add(chk, nil)
-	}
-	pr := s.tp.Producer()
-	// The basic-block counter hooks the VM directly: the per-instruction
-	// stream is orders of magnitude denser than the event stream, and no
-	// other live consumer wants it.
-	machine := vm.New(s.insFull.Prog, vm.Config{
-		Listener:  pr,
-		Plan:      s.union,
-		InstrHook: s.bb.Hook,
-		Seed:      seed,
-	})
-	pr.BindClock(&machine.InstrCount)
-	if err := machine.Run(); err != nil {
-		return nil, err
-	}
-	b, err := s.finish(machine.InstrCount)
-	if err != nil {
-		return nil, err
-	}
-	if chk != nil {
-		chk.Finish(false)
-		chk.Add(verify.CheckTree(s.coreProf, false))
-		chk.Add(verify.AgreeStream(chk, s.coreProf))
-		chk.Add(verify.AgreeCCT(chk, s.cctProf.Flat()))
-		if err := chk.Err(); err != nil {
-			return nil, err
-		}
-	}
-	return b, nil
+	return locs
 }
 
 // CompareResult is the cmd/paper "compare" section: all three backends on
@@ -156,16 +78,16 @@ type CompareResult struct {
 // backends.
 func Compare(sw Sweep) (*CompareResult, error) {
 	src := workloads.RunningExample(workloads.Random, sw.MaxSize, sw.Step, sw.Reps)
-	b, err := RunBackends(src, sw.Seed)
+	p, err := algoprof.Run(src, algoprof.Config{Seed: sw.Seed, Backends: true})
 	if err != nil {
 		return nil, err
 	}
 	res := &CompareResult{
-		HottestExclusive: b.HottestExclusive(),
-		TopBlock:         b.TopBlock(),
+		HottestExclusive: HottestExclusive(p.Baselines[0]),
+		TopBlock:         TopBlock(p.Baselines[0]),
 		Passes:           1,
 	}
-	if alg := b.Profile.Find("List.sort/loop1"); alg != nil {
+	if alg := p.Find("List.sort/loop1"); alg != nil {
 		for _, cf := range alg.CostFunctions {
 			if strings.Contains(cf.InputLabel, "Node") {
 				res.SortModel, res.SortCoeff = cf.Model, cf.Coeff
@@ -178,27 +100,24 @@ func Compare(sw Sweep) (*CompareResult, error) {
 	return res, nil
 }
 
-// BackendsFingerprint renders every backend output of a combined run into
-// one string for byte-identity comparison.
-func BackendsFingerprint(b *Backends) string {
+// BackendsFingerprint renders every backend output of a Config.Backends
+// run into one string for byte-identity comparison: the profile, then
+// each thread's CCT, basic-block counts and instruction count, with a
+// spawned thread's section headed by its id.
+func BackendsFingerprint(p *algoprof.Profile) string {
 	var sb strings.Builder
-	sb.WriteString(profileFingerprint(b.Profile))
-	sb.WriteString(b.CCTRender())
-	sb.WriteByte('\n')
-	locs := make([]bbprof.Location, 0, len(b.BBRun.Counts))
-	for l := range b.BBRun.Counts {
-		locs = append(locs, l)
-	}
-	sort.Slice(locs, func(i, j int) bool {
-		if locs[i].MethodID != locs[j].MethodID {
-			return locs[i].MethodID < locs[j].MethodID
+	sb.WriteString(profileFingerprint(p))
+	for _, b := range p.Baselines {
+		if b.Thread != 0 {
+			fmt.Fprintf(&sb, "thread %d\n", b.Thread)
 		}
-		return locs[i].Block < locs[j].Block
-	})
-	for _, l := range locs {
-		fmt.Fprintf(&sb, "%d.%d=%d\n", l.MethodID, l.Block, b.BBRun.Counts[l])
+		sb.WriteString(cct.Render(b.CCT, b.Program))
+		sb.WriteByte('\n')
+		for _, l := range blockOrder(b.Blocks) {
+			fmt.Fprintf(&sb, "%d.%d=%d\n", l.MethodID, l.Block, b.Blocks.Counts[l])
+		}
+		fmt.Fprintf(&sb, "instrs=%d\n", b.Instructions)
 	}
-	fmt.Fprintf(&sb, "instrs=%d\n", b.Instructions)
 	return sb.String()
 }
 
@@ -300,9 +219,9 @@ func PipelineBench(sizes []int, seed uint64, now func() int64) ([]PipelinePoint,
 			if err != nil {
 				return err
 			}
-			var fan *Backends
+			var fan *algoprof.Profile
 			fanNs, err := leg(&pt.SyncFanoutNs, func() error {
-				fan, err = RunBackends(src, seed)
+				fan, err = algoprof.RunProgram(prog, algoprof.Config{Seed: seed, Backends: true})
 				return err
 			})
 			if err != nil {
@@ -315,7 +234,7 @@ func PipelineBench(sizes []int, seed uint64, now func() int64) ([]PipelinePoint,
 			}); err != nil {
 				return err
 			}
-			if profileFingerprint(fan.Profile) != profileFingerprint(dedicated) {
+			if profileFingerprint(fan) != profileFingerprint(dedicated) {
 				pt.Identical = false
 			}
 		}

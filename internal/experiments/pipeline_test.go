@@ -12,7 +12,7 @@ import (
 // stream must equal the profile of a dedicated optimized-plan run.
 func TestCombinedRunMatchesDedicatedRun(t *testing.T) {
 	src := workloads.RunningExample(workloads.Random, 48, 6, 2)
-	combined, err := RunBackends(src, 42)
+	combined, err := algoprof.Run(src, algoprof.Config{Seed: 42, Backends: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -20,7 +20,7 @@ func TestCombinedRunMatchesDedicatedRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := profileFingerprint(combined.Profile)
+	a := profileFingerprint(combined)
 	b := profileFingerprint(dedicated)
 	if a != b {
 		t.Errorf("plan-filtered core profile differs from dedicated run:\n--- combined ---\n%s\n--- dedicated ---\n%s", a, b)
@@ -30,10 +30,10 @@ func TestCombinedRunMatchesDedicatedRun(t *testing.T) {
 // TestRunBackendsVerifiedTable1: the verified combined pass a daemon job
 // with all_backends runs must accept every Table 1 program, including the
 // recursive traversals whose loop invocations nest under recursion
-// folding; a rejection silently drops the job's backends summary.
+// folding; a rejection fails the job.
 func TestRunBackendsVerifiedTable1(t *testing.T) {
 	for _, row := range workloads.Table1() {
-		if _, err := RunBackendsVerified(row.Source(16), 1); err != nil {
+		if _, err := algoprof.Run(row.Source(16), algoprof.Config{Seed: 1, Backends: true, Verify: true}); err != nil {
 			t.Errorf("%s: %v", row.Name(), err)
 		}
 	}

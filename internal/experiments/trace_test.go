@@ -7,11 +7,38 @@ import (
 	"path/filepath"
 	"testing"
 
+	"algoprof"
+	"algoprof/internal/mj/bytecode"
+	"algoprof/internal/mj/compiler"
 	"algoprof/internal/trace"
 	"algoprof/internal/workloads"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
+
+// backendsCfg is the configuration of the combined three-backend pass.
+var backendsCfg = algoprof.Config{Seed: 1, Backends: true}
+
+// recordBackends records a combined three-backend pass of src and opens
+// the trace, returning the live result and the compiled program to
+// replay it against.
+func recordBackends(t *testing.T, src string, topts trace.WriterOptions) (*algoprof.Profile, *bytecode.Program, *trace.Reader) {
+	t.Helper()
+	var buf bytes.Buffer
+	live, err := algoprof.Record(src, backendsCfg, &buf, topts)
+	if err != nil {
+		t.Fatalf("Record: %v", err)
+	}
+	r, err := trace.NewReader(buf.Bytes())
+	if err != nil {
+		t.Fatalf("NewReader: %v", err)
+	}
+	prog, err := compiler.CompileSource(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return live, prog, r
+}
 
 // TestRecordReplayIdentical is the trace subsystem's correctness oracle:
 // recording a combined three-backend pass and replaying the trace offline
@@ -20,27 +47,19 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files")
 func TestRecordReplayIdentical(t *testing.T) {
 	src := workloads.RunningExample(workloads.Random, 24, 8, 2)
 	for _, compress := range []bool{false, true} {
-		var buf bytes.Buffer
-		live, err := RecordBackends(src, 1, &buf, trace.WriterOptions{Compress: compress})
+		live, prog, r := recordBackends(t, src, trace.WriterOptions{Compress: compress})
+		replayed, err := algoprof.ReplayProgram(prog, backendsCfg, r)
 		if err != nil {
-			t.Fatalf("RecordBackends(compress=%v): %v", compress, err)
-		}
-		r, err := trace.NewReader(buf.Bytes())
-		if err != nil {
-			t.Fatalf("NewReader(compress=%v): %v", compress, err)
-		}
-		replayed, err := ReplayBackends(src, r)
-		if err != nil {
-			t.Fatalf("ReplayBackends(compress=%v): %v", compress, err)
+			t.Fatalf("ReplayProgram(compress=%v): %v", compress, err)
 		}
 		liveFP, replayFP := BackendsFingerprint(live), BackendsFingerprint(replayed)
 		if liveFP != replayFP {
 			t.Errorf("compress=%v: replayed backends differ from recorded run\nlive:\n%s\nreplayed:\n%s",
 				compress, liveFP, replayFP)
 		}
-		plain, err := RunBackends(src, 1)
+		plain, err := algoprof.Run(src, backendsCfg)
 		if err != nil {
-			t.Fatalf("RunBackends: %v", err)
+			t.Fatalf("Run: %v", err)
 		}
 		if plainFP := BackendsFingerprint(plain); plainFP != liveFP {
 			t.Errorf("compress=%v: recording pass differs from plain live pass\nplain:\n%s\nrecorded:\n%s",
@@ -55,18 +74,10 @@ func TestRecordReplayIdentical(t *testing.T) {
 // Regenerate with: go test ./internal/experiments -run TestReplayGolden -update
 func TestReplayGolden(t *testing.T) {
 	src := workloads.RunningExample(workloads.Random, 24, 8, 2)
-	var buf bytes.Buffer
-	live, err := RecordBackends(src, 1, &buf, trace.WriterOptions{})
+	live, prog, r := recordBackends(t, src, trace.WriterOptions{})
+	replayed, err := algoprof.ReplayProgram(prog, backendsCfg, r)
 	if err != nil {
-		t.Fatalf("RecordBackends: %v", err)
-	}
-	r, err := trace.NewReader(buf.Bytes())
-	if err != nil {
-		t.Fatalf("NewReader: %v", err)
-	}
-	replayed, err := ReplayBackends(src, r)
-	if err != nil {
-		t.Fatalf("ReplayBackends: %v", err)
+		t.Fatalf("ReplayProgram: %v", err)
 	}
 	got := BackendsFingerprint(replayed)
 	if got != BackendsFingerprint(live) {
@@ -103,21 +114,14 @@ func TestReplayBackendsParallelMatches(t *testing.T) {
 		"sorts":   workloads.MergeVsInsertion(32, 8, 2),
 	}
 	for name, src := range srcs {
-		var buf bytes.Buffer
-		if _, err := RecordBackends(src, 1, &buf, trace.WriterOptions{FrameSize: 512, CheckpointEvery: 4}); err != nil {
-			t.Fatalf("%s: RecordBackends: %v", name, err)
-		}
-		r, err := trace.NewReader(buf.Bytes())
+		_, prog, r := recordBackends(t, src, trace.WriterOptions{FrameSize: 512, CheckpointEvery: 4})
+		seq, err := algoprof.ReplayProgram(prog, backendsCfg, r)
 		if err != nil {
-			t.Fatalf("%s: NewReader: %v", name, err)
-		}
-		seq, err := ReplayBackends(src, r)
-		if err != nil {
-			t.Fatalf("%s: ReplayBackends: %v", name, err)
+			t.Fatalf("%s: ReplayProgram: %v", name, err)
 		}
 		seqFP := BackendsFingerprint(seq)
 		for _, workers := range []int{2, 4, 8} {
-			par, err := ReplayBackendsParallel(src, r, workers)
+			par, err := algoprof.ReplayProgramParallel(t.Context(), prog, backendsCfg, r, workers)
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", name, workers, err)
 			}

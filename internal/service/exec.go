@@ -44,7 +44,6 @@ type ExecSpec struct {
 	Program    string          `json:"program"`
 	Config     algoprof.Config `json:"config"`
 	Persist    bool            `json:"persist,omitempty"`
-	Backends   bool            `json:"backends,omitempty"`
 	NoCompress bool            `json:"no_compress,omitempty"`
 }
 
@@ -87,40 +86,29 @@ type Executor interface {
 }
 
 // NewLocalExecutor returns the in-process Executor: jobs run on the
-// calling goroutine against st. logf may be nil.
-func NewLocalExecutor(st *store.Store, logf func(string, ...any)) Executor {
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
-	return &localExecutor{store: st, logf: logf}
+// calling goroutine against st.
+func NewLocalExecutor(st *store.Store) Executor {
+	return &localExecutor{store: st}
 }
 
 type localExecutor struct {
 	store *store.Store
-	logf  func(string, ...any)
 }
 
 func (e *localExecutor) Execute(ctx context.Context, spec ExecSpec, progress func(uint64)) (*ExecOutcome, error) {
-	return RunJob(ctx, e.store, spec, progress, e.logf)
-}
-
-func seedOf(seed uint64) uint64 {
-	if seed == 0 {
-		return 1
-	}
-	return seed
+	return RunJob(ctx, e.store, spec, progress)
 }
 
 // RunJob executes one spec against st and assembles its outcome. It is
 // the single execution path shared by the local executor and the remote
 // dispatch worker. Partial-run salvage happens here: an interrupted run
 // with a recoverable profile becomes a degraded outcome, never a lost
-// job.
-func RunJob(ctx context.Context, st *store.Store, spec ExecSpec, progress func(uint64), logf func(string, ...any)) (*ExecOutcome, error) {
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
+// job. A job with Config.Backends runs once, like any other, with the
+// verifier on: a CCT or profile that disagrees with the stream fails the
+// job with a *verify.Error.
+func RunJob(ctx context.Context, st *store.Store, spec ExecSpec, progress func(uint64)) (*ExecOutcome, error) {
 	cfg := spec.Config
+	cfg.Verify = cfg.Verify || cfg.Backends
 	if progress != nil {
 		// Progress heartbeats ride the VM watchdog poll: every poll is
 		// ~vm.WatchdogInterval instructions, so the counter approximates
@@ -159,18 +147,6 @@ func RunJob(ctx context.Context, st *store.Store, spec ExecSpec, progress func(u
 		}
 	}
 
-	if err == nil && spec.Backends {
-		if b, berr := experiments.RunBackendsVerified(spec.Program, seedOf(cfg.Seed)); berr == nil {
-			out.Backends = &BackendSummary{
-				Fingerprint:   experiments.BackendsFingerprint(b),
-				HottestMethod: b.HottestExclusive(),
-				TopBlock:      b.TopBlock(),
-			}
-		} else {
-			logf("service: job %s all-backends pass failed: %v", spec.ID, berr)
-		}
-	}
-
 	if prof != nil {
 		out.Instructions = prof.Instructions
 		if data, jerr := prof.JSON(); jerr == nil {
@@ -187,6 +163,7 @@ func RunJob(ctx context.Context, st *store.Store, spec ExecSpec, progress func(u
 		out.Events = prof.EventCount()
 		out.Degraded = out.Degraded || prof.Degraded
 		out.DegradedReasons = prof.DegradedReasons
+		out.Backends = backendSummary(prof)
 	}
 	if spec.Persist {
 		// Charge the stored trace regardless of outcome: a salvaged or
@@ -196,4 +173,28 @@ func RunJob(ctx context.Context, st *store.Store, spec ExecSpec, progress func(u
 		}
 	}
 	return out, err
+}
+
+// backendSummary condenses a Config.Backends profile's baselines: the
+// main thread's hottest method and block, one such entry per spawned
+// thread, and a hash over every backend's output. Nil without baselines.
+func backendSummary(prof *algoprof.Profile) *BackendSummary {
+	if len(prof.Baselines) == 0 {
+		return nil
+	}
+	sum := sha256.Sum256([]byte(experiments.BackendsFingerprint(prof)))
+	main := prof.Baselines[0]
+	bs := &BackendSummary{
+		Fingerprint:   hex.EncodeToString(sum[:]),
+		HottestMethod: experiments.HottestExclusive(main),
+		TopBlock:      experiments.TopBlock(main),
+	}
+	for _, b := range prof.Baselines[1:] {
+		bs.Threads = append(bs.Threads, ThreadBackends{
+			Thread:        b.Thread,
+			HottestMethod: experiments.HottestExclusive(b),
+			TopBlock:      experiments.TopBlock(b),
+		})
+	}
+	return bs
 }

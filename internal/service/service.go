@@ -76,7 +76,8 @@ func (e *OverloadError) Error() string {
 func (*OverloadError) FaultClass() faultinject.FaultClass { return faultinject.Resource }
 
 // InvalidJobError reports a submission rejected at validation: an unknown
-// mode, a bad tenant name, or a program that does not compile. It carries
+// mode, all_backends in paths mode, a bad tenant name, or a program that
+// does not compile. It carries
 // no fault class — it is the client's request that is wrong, not the
 // service's resources (HTTP 400, not 429/503).
 type InvalidJobError struct{ Reason string }
@@ -102,9 +103,10 @@ type JobConfig struct {
 	SampleEvery int `json:"sample_every,omitempty"`
 	// Verify attaches the online invariant verifier to the run.
 	Verify bool `json:"verify,omitempty"`
-	// AllBackends additionally runs the three-backend (core+CCT+bb)
-	// union-pipeline pass and reports the backend fingerprint and hot
-	// summaries.
+	// AllBackends also feeds the paper's two comparison profilers, the
+	// CCT and the basic-block counter, from the job's one execution
+	// (algoprof.Config.Backends) and reports their summaries. Events mode
+	// only; the job runs verified.
 	AllBackends bool `json:"all_backends,omitempty"`
 	// MaxEvents, MaxLiveBytes, MaxTraceBytes, DeadlineMs request
 	// algoprof.Limits; tenant quotas clamp them (never loosen).
@@ -131,12 +133,25 @@ type SubmitRequest struct {
 	InputSweep [][]int64 `json:"input_sweep,omitempty"`
 }
 
-// BackendSummary reports the optional all-backends pass.
+// BackendSummary reports an all_backends job's comparison profilers.
 type BackendSummary struct {
-	// Fingerprint hashes all three backends' outputs; equal fingerprints
-	// mean byte-identical profiles, CCTs, and basic-block counts.
+	// Fingerprint hashes all three backends' outputs (SHA-256 hex of
+	// experiments.BackendsFingerprint); equal fingerprints mean
+	// byte-identical profiles, CCTs, and basic-block counts, every
+	// thread's included.
 	Fingerprint string `json:"fingerprint"`
-	// HottestMethod and TopBlock are the CCT and bb headline results.
+	// HottestMethod and TopBlock are the main thread's CCT and bb
+	// headline results.
+	HottestMethod string `json:"hottest_method"`
+	TopBlock      string `json:"top_block"`
+	// Threads holds each spawned thread's headline results, in thread-id
+	// order.
+	Threads []ThreadBackends `json:"threads,omitempty"`
+}
+
+// ThreadBackends is one spawned thread's CCT and bb headline results.
+type ThreadBackends struct {
+	Thread        int    `json:"thread"`
 	HottestMethod string `json:"hottest_method"`
 	TopBlock      string `json:"top_block"`
 }
@@ -351,7 +366,7 @@ func New(cfg Config) (*Service, error) {
 		tenants:   newTenants(cfg.DefaultQuota, cfg.Quotas),
 		drainDone: make(chan struct{}),
 	}
-	local := NewLocalExecutor(st, logf)
+	local := NewLocalExecutor(st)
 	s.exec = local
 	if cfg.MakeExecutor != nil {
 		s.exec = cfg.MakeExecutor(local, st)
@@ -552,7 +567,6 @@ func (s *Service) Submit(req SubmitRequest) (*JobView, error) {
 		Program:    req.Program,
 		Config:     cfg,
 		Persist:    persist,
-		Backends:   req.Config.AllBackends,
 		NoCompress: req.Config.NoCompress,
 	}
 	j := &job{
@@ -620,6 +634,7 @@ func buildConfig(jc JobConfig) (algoprof.Config, bool, error) {
 		Input:       jc.Input,
 		SampleEvery: jc.SampleEvery,
 		Verify:      jc.Verify,
+		Backends:    jc.AllBackends,
 		Limits: algoprof.Limits{
 			MaxEvents:     jc.MaxEvents,
 			MaxLiveBytes:  jc.MaxLiveBytes,
@@ -634,7 +649,11 @@ func buildConfig(jc JobConfig) (algoprof.Config, bool, error) {
 	case algoprof.ModePaths:
 		// The trace format carries the exact event stream; path counters
 		// elide precisely the records replay needs, so paths-mode jobs
-		// are profile-only (documented in docs/SERVICE.md).
+		// are profile-only (documented in docs/SERVICE.md). The
+		// comparison profilers need events mode, as recording does.
+		if jc.AllBackends {
+			return cfg, false, &InvalidJobError{Reason: "all_backends requires events mode"}
+		}
 		cfg.Mode = algoprof.ModePaths
 		return cfg, false, nil
 	}

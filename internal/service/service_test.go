@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -495,13 +496,15 @@ func TestPathsModeRunsWithoutPersist(t *testing.T) {
 }
 
 // TestInvalidSubmissions: validation rejections are typed and nothing is
-// admitted.
+// admitted. A paths-mode job cannot ask for the comparison profilers,
+// which need events mode as recording does.
 func TestInvalidSubmissions(t *testing.T) {
 	s := newTestService(t, Config{})
 	cases := []SubmitRequest{
 		{Program: "class { nope"},
 		{Program: smallSrc, Config: JobConfig{Mode: "turbo"}},
 		{Program: smallSrc, Tenant: "bad tenant name!"},
+		{Program: smallSrc, Config: JobConfig{Mode: "paths", AllBackends: true}},
 	}
 	for _, req := range cases {
 		_, err := s.Submit(req)
@@ -525,12 +528,132 @@ func TestRunJobThreadReadsMainArray(t *testing.T) {
 	}
 	for _, persist := range []bool{false, true} {
 		spec := ExecSpec{ID: fmt.Sprintf("shared-%v", persist), Program: workloads.SharedArrayThread(), Persist: persist}
-		out, err := RunJob(context.Background(), st, spec, nil, nil)
+		out, err := RunJob(context.Background(), st, spec, nil)
 		if err != nil {
 			t.Fatalf("persist=%v: %v", persist, err)
 		}
 		if len(out.ProfileJSON) == 0 || out.Degraded {
 			t.Fatalf("persist=%v: outcome %+v, want a full profile", persist, out)
+		}
+	}
+}
+
+// spinSrc never ends on its own: only a limit, the context or the VM's
+// instruction budget stops it.
+const spinSrc = `
+class Main {
+  public static void main() {
+    int s = 0;
+    while (true) { s = s + 1; }
+  }
+}`
+
+// TestBackendsJobRunsUnderLimits: a backends job executes once, under the
+// job's deadline and context like any job, so a program that never ends
+// comes back degraded at its deadline either way instead of running on to
+// the VM's instruction budget.
+func TestBackendsJobRunsUnderLimits(t *testing.T) {
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, backends := range []bool{false, true} {
+		spec := ExecSpec{
+			ID: fmt.Sprintf("spin-%v", backends), Program: spinSrc, Persist: true,
+			Config: algoprof.Config{Backends: backends, Limits: algoprof.Limits{Deadline: 200 * time.Millisecond}},
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
+		start := time.Now()
+		out, err := RunJob(ctx, st, spec, nil)
+		elapsed := time.Since(start)
+		cancel()
+		if err != nil {
+			t.Fatalf("backends=%v: %v", backends, err)
+		}
+		if !out.Degraded || elapsed > time.Second {
+			t.Errorf("backends=%v: degraded=%v %v after %v, want degraded within 1s", backends, out.Degraded, out.DegradedReasons, elapsed)
+		}
+		if (out.Backends != nil) != backends {
+			t.Errorf("backends=%v: outcome backends %+v", backends, out.Backends)
+		}
+	}
+}
+
+// TestBackendsJobMatchesPlainJob: a backends job returns the profile
+// bytes, events and instructions of the same job without backends, with
+// or without a tripped event limit, and a SHA-256 fingerprint. It runs
+// verified, which its stored manifest records with the rest of its
+// configuration, and its stored trace also carries instruction ticks, so
+// it is charged more trace bytes.
+func TestBackendsJobMatchesPlainJob(t *testing.T) {
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, maxEvents := range []uint64{0, 500} {
+		var outs [2]*ExecOutcome
+		for i, backends := range []bool{false, true} {
+			spec := ExecSpec{
+				ID: fmt.Sprintf("job-%d-%v", maxEvents, backends), Program: smallSrc, Persist: true,
+				Config: algoprof.Config{Seed: 3, Backends: backends, Limits: algoprof.Limits{MaxEvents: maxEvents}},
+			}
+			if outs[i], err = RunJob(context.Background(), st, spec, nil); err != nil {
+				t.Fatalf("max_events=%d backends=%v: %v", maxEvents, backends, err)
+			}
+		}
+		plain, b := outs[0], outs[1]
+		if !bytes.Equal(plain.ProfileJSON, b.ProfileJSON) || plain.Events != b.Events ||
+			plain.Instructions != b.Instructions || plain.Degraded != b.Degraded || b.Degraded != (maxEvents > 0) {
+			t.Errorf("max_events=%d: backends outcome differs from plain\nplain: %d events, %d instrs, degraded %v\n%s\nbackends: %d events, %d instrs, degraded %v\n%s",
+				maxEvents, plain.Events, plain.Instructions, plain.Degraded, plain.ProfileJSON,
+				b.Events, b.Instructions, b.Degraded, b.ProfileJSON)
+		}
+		if plain.Backends != nil || b.Backends == nil {
+			t.Fatalf("max_events=%d: backends summaries %+v / %+v", maxEvents, plain.Backends, b.Backends)
+		}
+		if fp := b.Backends.Fingerprint; len(fp) != 64 || strings.Trim(fp, "0123456789abcdef") != "" {
+			t.Errorf("max_events=%d: fingerprint %q is not SHA-256 hex", maxEvents, fp)
+		}
+		if b.Backends.HottestMethod == "" || b.Backends.TopBlock == "" || len(b.Backends.Threads) != 0 {
+			t.Errorf("max_events=%d: summary %+v", maxEvents, b.Backends)
+		}
+		if b.TraceBytes <= plain.TraceBytes {
+			t.Errorf("max_events=%d: backends trace %d bytes, plain %d", maxEvents, b.TraceBytes, plain.TraceBytes)
+		}
+		run, err := st.Load(fmt.Sprintf("job-%d-true", maxEvents))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c := run.Manifest.Config; !c.Backends || !c.Verify {
+			t.Errorf("max_events=%d: stored config Backends=%v Verify=%v, want both", maxEvents, c.Backends, c.Verify)
+		}
+	}
+}
+
+// TestRunJobThreadedBackends: a backends job whose program spawns a
+// thread returns that thread's baselines in its outcome, recorded or not.
+func TestRunJobThreadedBackends(t *testing.T) {
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, src := range map[string]string{
+		"array": workloads.SharedArrayThread(),
+		"list":  workloads.SharedListThread(),
+	} {
+		for _, persist := range []bool{false, true} {
+			spec := ExecSpec{ID: fmt.Sprintf("%s-%v", name, persist), Program: src, Persist: persist,
+				Config: algoprof.Config{Backends: true}}
+			out, err := RunJob(context.Background(), st, spec, nil)
+			if err != nil {
+				t.Fatalf("%s persist=%v: %v", name, persist, err)
+			}
+			if out.Backends == nil || len(out.Backends.Threads) != 1 {
+				t.Fatalf("%s persist=%v: backends %+v, want one spawned thread's", name, persist, out.Backends)
+			}
+			if th := out.Backends.Threads[0]; th.Thread == 0 || th.HottestMethod == "" || th.TopBlock == "" {
+				t.Errorf("%s persist=%v: thread summary %+v", name, persist, th)
+			}
 		}
 	}
 }

@@ -61,7 +61,7 @@ type Config struct {
 
 // ThreadSession is the per-thread profiling harness a spawned VM thread
 // runs under: its own listener (a per-thread profiler, or a per-thread
-// transport feeding one) and journal.
+// transport feeding one), journal and instruction hook.
 type ThreadSession struct {
 	// Listener receives the thread's profiling events.
 	Listener events.Listener
@@ -71,6 +71,9 @@ type ThreadSession struct {
 	Journal events.Journal
 	// NumSites sizes the thread's first-touch table (paths mode).
 	NumSites int
+	// InstrHook, if non-nil, is the thread's own instruction hook (see
+	// Config.InstrHook); the parent's hook never carries over.
+	InstrHook func(methodID, pc int)
 	// BindClock, if non-nil, is handed the thread's instruction counter
 	// before it starts (pipeline producers stamp events with it).
 	BindClock func(clock *uint64)
@@ -635,6 +638,7 @@ func (m *VM) spawn(f *frame, target *bytecode.Function, args []Value) (int, erro
 			ccfg.Plan = sess.Plan
 			ccfg.Journal = sess.Journal
 			ccfg.NumSites = sess.NumSites
+			ccfg.InstrHook = sess.InstrHook
 			sessClose = sess.Close
 			bindClock = sess.BindClock
 		}

@@ -8,7 +8,10 @@ import (
 	"sync"
 	"time"
 
+	"algoprof/internal/bbprof"
+	"algoprof/internal/cct"
 	"algoprof/internal/core"
+	"algoprof/internal/events"
 	"algoprof/internal/events/pipeline"
 	"algoprof/internal/instrument"
 	"algoprof/internal/mj/bytecode"
@@ -26,15 +29,22 @@ type ThreadTraceSink func(tid int) (io.WriteCloser, error)
 
 // session is one VM thread's profiling state: its own core profiler (its
 // own repetition tree and snapshot registry) and the transport that fans
-// the thread's stream out to the verifier and the trace writer when
-// either rides along. Live runs build one per thread as it starts; replay
-// builds one per recorded trace. No session is shared between threads.
+// the thread's stream out to the riders — the comparison profilers, the
+// trace writer and the verifier — when any rides along. Live runs build
+// one per thread as it starts; replay builds one per recorded trace. No
+// session is shared between threads.
 type session struct {
 	tid  int // 0 for the main thread
 	prof *core.Profiler
 	tp   *pipeline.Transport
 	chk  *verify.Checker // non-nil when the run is verified
 	tw   *trace.Writer   // non-nil when the thread is recorded
+	// cct and bb are the comparison profilers, non-nil with
+	// Config.Backends; instrs is the thread's instruction count they
+	// report, set once the thread has ended.
+	cct    *cct.Profiler
+	bb     *bbprof.Profiler
+	instrs uint64
 	// err is a failure outside the profiler (a thread's trace sink did not
 	// open), surfaced when the session finishes. The thread still
 	// profiles; only its trace is lost.
@@ -46,11 +56,22 @@ type session struct {
 }
 
 // newSession builds a thread's session: the transport feeds the profiler
-// under the instrumentation plan, then tw when non-nil, then a verifier
-// when cfg.Verify.
-func newSession(ins *instrument.Instrumented, cfg Config, tid int, tw *trace.Writer) *session {
+// under the instrumentation plan; with cfg.Backends the CCT, timed by the
+// records' clocks, and — when ticks says the stream carries instruction
+// ticks, as recordings and replays do — the basic-block counter; then tw
+// when non-nil; then a verifier when cfg.Verify.
+func newSession(ins *instrument.Instrumented, cfg Config, tid int, tw *trace.Writer, ticks bool) *session {
 	s := &session{tid: tid, prof: core.NewProfiler(ins, coreOptions(cfg)), tp: pipeline.New(), tw: tw}
 	s.tp.Add(s.prof, ins.Plan)
+	if cfg.Backends {
+		var c *pipeline.Consumer
+		s.cct = cct.New(func() uint64 { return c.Clock() })
+		c = s.tp.Add(s.cct, nil)
+		s.bb = bbprof.New(ins.Prog)
+		if ticks {
+			s.tp.Add(pipeline.InstrTap{Fn: s.bb.Hook}, nil)
+		}
+	}
 	if tw != nil {
 		s.tp.Add(tw, nil)
 	}
@@ -64,27 +85,58 @@ func newSession(ins *instrument.Instrumented, cfg Config, tid int, tw *trace.Wri
 // wire returns the VM hookup for the session's thread. With nothing
 // riding along the profiler itself is the listener, so plain runs keep
 // their transport-free hot path. Otherwise the transport's producer takes
-// the events and the heap journal — the entity births and element stores
-// the verifier's shadow heap and replay need — stamped with the thread's
-// instruction counter.
+// the events, stamped with the thread's instruction counter, and — when
+// the verifier or the trace writer rides — the heap journal: the entity
+// births and element stores the verifier's shadow heap and replay need.
+// The comparison profilers make the VM emit under the union plan; the
+// block counter takes the instruction hook itself, the per-instruction
+// stream being far denser than the event stream, unless the trace must
+// carry the ticks.
 func (s *session) wire(ins *instrument.Instrumented) *vm.ThreadSession {
 	ts := &vm.ThreadSession{Listener: s.prof, Plan: ins.Plan, NumSites: ins.NumSites()}
+	if s.chk == nil && s.tw == nil && s.cct == nil {
+		return ts
+	}
+	pr := s.tp.Producer()
+	ts.Listener, ts.BindClock = pr, pr.BindClock
 	if s.chk != nil || s.tw != nil {
-		pr := s.tp.Producer()
-		ts.Listener, ts.Journal, ts.BindClock = pr, pr, pr.BindClock
+		ts.Journal = pr
+	}
+	if s.cct != nil {
+		ts.Plan, ts.InstrHook = unionPlan(ins.Plan), s.bb.Hook
+		if s.tw != nil {
+			ts.InstrHook = pr.Instr
+		}
 	}
 	return ts
 }
 
-// finish closes the session's profiler and builds its thread's profile.
+// unionPlan is the plan a Backends run executes under: every method's
+// entry and exit, which the CCT needs, plus everything the profiler's own
+// plan p enables, to which the transport filters the profiler's stream
+// back down.
+func unionPlan(p *events.Plan) *events.Plan {
+	u := events.NewEmptyPlan(len(p.MethodEntryExit), len(p.FieldAccess), len(p.AllocClass))
+	for m := range u.MethodEntryExit {
+		u.MethodEntryExit[m] = true
+	}
+	copy(u.FieldAccess, p.FieldAccess)
+	copy(u.AllocClass, p.AllocClass)
+	u.Arrays, u.IO = p.Arrays, p.IO
+	return u
+}
+
+// finish closes the session's profilers and builds its thread's profile,
+// with the thread's baselines when the comparison profilers ride along.
 // tolerant (salvaging an interrupted run, whose stream is unbalanced by
 // construction) checks nothing. Otherwise a lost trace fails the session,
 // so do the profiler's own errors unless a verifier rides along (it
 // reports them as typed violations) or openOK excuses them, and the
 // verifier's post-run checks come last: end-of-stream balance,
-// repetition-tree invariants, and — in events mode — stream-vs-tree
-// agreement. Paths mode skips agreement: counted loops report iterations
-// through decoded counters rather than LoopBack events, so the stream
+// repetition-tree invariants, in events mode stream-vs-tree agreement,
+// and stream-vs-CCT agreement when the CCT rides. Paths mode skips
+// stream-vs-tree agreement: counted loops report iterations through
+// decoded counters rather than LoopBack events, so the stream
 // legitimately disagrees with the tree there (CheckPathDecode covers that
 // gap against an events-mode run). A violation fails the session with a
 // *verify.Error.
@@ -103,11 +155,24 @@ func (s *session) finish(cfg Config, tolerant bool) (*Profile, error) {
 	p := fromProfiler(s.prof, cfg.GroupStrategy)
 	p.DegradedReasons = append(append(lost, s.prof.DegradedReasons()...), s.reasons...)
 	p.Degraded = len(p.DegradedReasons) > 0
+	if s.cct != nil {
+		s.cct.Finish()
+		p.Baselines = []Baselines{{
+			Thread:       s.tid,
+			CCT:          s.cct,
+			Blocks:       s.bb.Snapshot(0),
+			Instructions: s.instrs,
+			Program:      s.prof.Instrumented().Prog,
+		}}
+	}
 	if s.chk != nil && !tolerant {
 		s.chk.Finish(s.openOK)
 		s.chk.Add(verify.CheckTree(s.prof, s.openOK))
 		if cfg.Mode != ModePaths {
 			s.chk.Add(verify.AgreeStream(s.chk, s.prof))
+		}
+		if s.cct != nil {
+			s.chk.Add(verify.AgreeCCT(s.chk, s.cct.Flat()))
 		}
 		if err := s.chk.Err(); err != nil {
 			return nil, err
@@ -146,7 +211,7 @@ func (r *profileRun) spawn(tid int) *vm.ThreadSession {
 			tw = trace.NewWriter(wc, r.topts)
 		}
 	}
-	s := newSession(r.ins, r.cfg, tid, tw)
+	s := newSession(r.ins, r.cfg, tid, tw, tw != nil)
 	if sinkErr != nil {
 		// SpawnSession cannot fail the spawn: remember the error and
 		// surface it deterministically when the report is merged.
@@ -157,14 +222,19 @@ func (r *profileRun) spawn(tid int) *vm.ThreadSession {
 	r.mu.Unlock()
 
 	ts := s.wire(r.ins)
-	if tw != nil {
-		// Close runs on the thread's goroutine after it terminates: stamp
-		// the thread's own instruction count and seal its trace.
+	if tw != nil || s.cct != nil {
+		// Close runs on the thread's goroutine after it terminates: keep
+		// the thread's own instruction count, and stamp it into the
+		// thread's trace and seal it.
 		var clock *uint64
 		bind := ts.BindClock
 		ts.BindClock = func(c *uint64) { clock = c; bind(c) }
 		ts.Close = func() error {
-			tw.SetInstructions(*clock)
+			s.instrs = *clock
+			if tw == nil {
+				return nil
+			}
+			tw.SetInstructions(s.instrs)
 			err := tw.Close()
 			if cerr := wc.Close(); err == nil {
 				err = cerr
@@ -206,6 +276,7 @@ func (r *profileRun) finish(tolerant bool) (*Profile, error) {
 		for _, reason := range tp.DegradedReasons {
 			p.DegradedReasons = append(p.DegradedReasons, prefix+reason)
 		}
+		p.Baselines = append(p.Baselines, tp.Baselines...)
 		p.raw.threadEvents += s.prof.EventCount()
 	}
 	p.Threads = len(r.threads)
@@ -234,17 +305,18 @@ func live(ctx context.Context, prog *bytecode.Program, cfg Config, w io.Writer, 
 	if w != nil {
 		tw = trace.NewWriter(w, topts)
 	}
-	r.main = newSession(ins, cfg, 0, tw)
+	r.main = newSession(ins, cfg, 0, tw, tw != nil)
 	ts := r.main.wire(ins)
 	vmCfg := vm.Config{
-		Listener: ts.Listener,
-		Plan:     ts.Plan,
-		Journal:  ts.Journal,
-		NumSites: ts.NumSites,
-		Seed:     seedOf(cfg),
-		Input:    cfg.Input,
-		MaxSteps: cfg.MaxSteps,
-		Watchdog: watchdogFor(ctx, cfg.Limits, time.Now(), cfg.Watchdog),
+		Listener:  ts.Listener,
+		Plan:      ts.Plan,
+		InstrHook: ts.InstrHook,
+		Journal:   ts.Journal,
+		NumSites:  ts.NumSites,
+		Seed:      seedOf(cfg),
+		Input:     cfg.Input,
+		MaxSteps:  cfg.MaxSteps,
+		Watchdog:  watchdogFor(ctx, cfg.Limits, time.Now(), cfg.Watchdog),
 	}
 	if w == nil || sink != nil {
 		vmCfg.SpawnSession = r.spawn
@@ -266,6 +338,7 @@ func live(ctx context.Context, prog *bytecode.Program, cfg Config, w io.Writer, 
 		return p, nil
 	}
 	reasons, runErr := triageRunError(machine.Run())
+	r.main.instrs = machine.InstrCount
 	if interrupted(runErr) {
 		// Leave a partial trace in its crash shape: the caller keeps what
 		// replays and learns the run was cut short.
@@ -311,14 +384,15 @@ func replay(ctx context.Context, prog *bytecode.Program, cfg Config, r *trace.Re
 	}
 	var instrs uint64
 	open := func(tid int, tr *trace.Reader) (*session, error) {
-		s := newSession(ins, cfg, tid, nil)
+		s := newSession(ins, cfg, tid, nil, true)
 		if err := tr.ReplayParallel(ctx, workers, s.tp.Dispatch); err != nil {
 			return nil, err
 		}
 		if tr.Stats().Truncated {
 			s.openOK, s.reasons = true, []string{"truncated-trace"}
 		}
-		instrs += tr.Stats().Instructions
+		s.instrs = tr.Stats().Instructions
+		instrs += s.instrs
 		return s, nil
 	}
 	run := &profileRun{ins: ins, cfg: cfg}

@@ -1,18 +1,24 @@
 package algoprof
 
 import (
+	"errors"
 	"io"
 	"testing"
 
+	"algoprof/internal/cct"
 	"algoprof/internal/core"
 	"algoprof/internal/mj/compiler"
 	"algoprof/internal/trace"
+	"algoprof/internal/verify"
+	"algoprof/internal/vm"
 )
 
-// TestSessionWiring: a thread with neither a verifier nor a trace writer
-// riding along hands the VM its profiler itself, keeping plain runs off
-// the transport; either rider moves the events and the heap journal onto
-// the transport's producer.
+// TestSessionWiring: a thread with no rider — verifier, trace writer or
+// comparison profilers — hands the VM its profiler itself, keeping plain
+// runs off the transport; any rider moves the events onto the
+// transport's producer, and the verifier or the trace writer the heap
+// journal too. The comparison profilers run the VM under the union plan
+// and take its instruction hook.
 func TestSessionWiring(t *testing.T) {
 	prog, err := compiler.CompileSource(`class Main { public static void main() { print(1); } }`)
 	if err != nil {
@@ -22,21 +28,71 @@ func TestSessionWiring(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	recorder := func() *trace.Writer { return trace.NewWriter(io.Discard, trace.WriterOptions{}) }
 	for _, tc := range []struct {
-		name   string
-		cfg    Config
-		tw     *trace.Writer
-		direct bool
+		name            string
+		cfg             Config
+		tw              *trace.Writer
+		direct, journal bool
 	}{
-		{"plain", Config{}, nil, true},
-		{"verified", Config{Verify: true}, nil, false},
-		{"recorded", Config{}, trace.NewWriter(io.Discard, trace.WriterOptions{}), false},
+		{"plain", Config{}, nil, true, false},
+		{"verified", Config{Verify: true}, nil, false, true},
+		{"recorded", Config{}, recorder(), false, true},
+		{"backends", Config{Backends: true}, nil, false, false},
+		{"backends-recorded", Config{Backends: true}, recorder(), false, true},
 	} {
-		ts := newSession(ins, tc.cfg, 0, tc.tw).wire(ins)
+		ts := newSession(ins, tc.cfg, 0, tc.tw, tc.tw != nil).wire(ins)
 		_, direct := ts.Listener.(*core.Profiler)
-		if direct != tc.direct || (ts.Journal == nil) != tc.direct || (ts.BindClock == nil) != tc.direct {
-			t.Errorf("%s: listener %T, journal %v, clock bound %v; want direct wiring %v",
-				tc.name, ts.Listener, ts.Journal != nil, ts.BindClock != nil, tc.direct)
+		if direct != tc.direct || (ts.Journal != nil) != tc.journal || (ts.BindClock == nil) != tc.direct {
+			t.Errorf("%s: listener %T, journal %v, clock bound %v; want direct wiring %v, journal %v",
+				tc.name, ts.Listener, ts.Journal != nil, ts.BindClock != nil, tc.direct, tc.journal)
 		}
+		if union := ts.Plan != ins.Plan && ts.Plan.MethodEntryExit[prog.Main().Method.ID]; union != tc.cfg.Backends || (ts.InstrHook != nil) != tc.cfg.Backends {
+			t.Errorf("%s: union plan %v, instruction hook %v; want both %v",
+				tc.name, union, ts.InstrHook != nil, tc.cfg.Backends)
+		}
+	}
+}
+
+// TestSessionVerifiesCCT: a verified session with the comparison
+// profilers checks the CCT against the stream when it finishes, so a CCT
+// that drifted from the stream fails the thread with a typed violation.
+func TestSessionVerifiesCCT(t *testing.T) {
+	prog, err := compiler.CompileSource(`
+class Main {
+  public static void main() {
+    int s = 0;
+    for (int i = 0; i < 3; i++) { s = s + inc(i); }
+    print(s);
+  }
+  static int inc(int x) { return x + 1; }
+}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Backends: true, Verify: true}
+	ins, err := instrumentFor(prog, cfg, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	finish := func(damage func(*cct.Profiler)) error {
+		s := newSession(ins, cfg, 0, nil, false)
+		ts := s.wire(ins)
+		machine := vm.New(ins.Prog, vm.Config{Listener: ts.Listener, Plan: ts.Plan, Journal: ts.Journal, InstrHook: ts.InstrHook, Seed: 1})
+		ts.BindClock(&machine.InstrCount)
+		if err := machine.Run(); err != nil {
+			t.Fatal(err)
+		}
+		damage(s.cct)
+		_, err := s.finish(cfg, false)
+		return err
+	}
+	if err := finish(func(*cct.Profiler) {}); err != nil {
+		t.Fatalf("clean session: %v", err)
+	}
+	err = finish(func(c *cct.Profiler) { c.Root().Children[0].Calls++ })
+	var ve *verify.Error
+	if !errors.As(err, &ve) || ve.Violations[0].Rule != "stream-cct" {
+		t.Fatalf("session with a drifted CCT returned %v, want a stream-cct violation", err)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"algoprof"
+	"algoprof/internal/cct"
 	"algoprof/internal/mj/compiler"
 	"algoprof/internal/trace"
 	"algoprof/internal/workloads"
@@ -186,6 +187,76 @@ func TestSpawnedThreadTouchesMainEntities(t *testing.T) {
 			}
 			if _, err := algoprof.ReplayProgramThreadsContext(t.Context(), prog, algoprof.Config{}, r, threads); err != nil {
 				t.Fatalf("Replay: %v", err)
+			}
+		})
+	}
+}
+
+// TestThreadedBackendsRoundTrip: with Config.Backends every spawned
+// thread gets comparison profilers of its own, and the profile stays the
+// one a run without them builds. A recording replays the per-thread
+// baselines byte for byte — also for these programs, whose replayed
+// profile differs from the live one (TestSpawnedThreadTouchesMainEntities),
+// because the baselines read no heap.
+func TestThreadedBackendsRoundTrip(t *testing.T) {
+	// baselines renders a profile's per-thread baselines; fmt prints the
+	// block counts in key order.
+	baselines := func(p *algoprof.Profile) string {
+		var sb strings.Builder
+		for _, b := range p.Baselines {
+			fmt.Fprintf(&sb, "thread %d instrs=%d\n%s%v\n", b.Thread, b.Instructions, cct.Render(b.CCT, b.Program), b.Blocks.Counts)
+		}
+		return sb.String()
+	}
+	for name, src := range map[string]string{
+		"array": workloads.SharedArrayThread(),
+		"list":  workloads.SharedListThread(),
+	} {
+		t.Run(name, func(t *testing.T) {
+			cfg := algoprof.Config{Backends: true}
+			plain, err := algoprof.Run(src, algoprof.Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			live, err := algoprof.Run(src, cfg)
+			if err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+			want, _ := plain.JSON()
+			if got, _ := live.JSON(); !bytes.Equal(got, want) {
+				t.Errorf("Backends changed the profile\nplain:\n%s\nbackends:\n%s", want, got)
+			}
+			if len(live.Baselines) != 2 || live.Baselines[0].Thread != 0 || live.Baselines[1].Thread == 0 {
+				t.Fatalf("%d baselines, want main's and then one spawned thread's", len(live.Baselines))
+			}
+			for _, b := range live.Baselines {
+				if len(b.Blocks.Counts) == 0 || b.Instructions == 0 {
+					t.Errorf("thread %d: %d blocks counted over %d instructions", b.Thread, len(b.Blocks.Counts), b.Instructions)
+				}
+			}
+			var main bytes.Buffer
+			sink := &memSink{}
+			rec, err := algoprof.RecordSinkContext(t.Context(), src, cfg, &main, trace.WriterOptions{Compress: true}, sink.open)
+			if err != nil {
+				t.Fatalf("Record: %v", err)
+			}
+			r, threads, err := sink.readers(main.Bytes())
+			if err != nil {
+				t.Fatal(err)
+			}
+			prog, err := compiler.CompileSource(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := algoprof.ReplayProgramThreadsContext(t.Context(), prog, cfg, r, threads)
+			if err != nil {
+				t.Fatalf("Replay: %v", err)
+			}
+			wantB := baselines(live)
+			for label, p := range map[string]*algoprof.Profile{"recording": rec, "replay": rep} {
+				if got := baselines(p); got != wantB {
+					t.Errorf("%s baselines differ from Run's\nrun:\n%s\n%s:\n%s", label, wantB, label, got)
+				}
 			}
 		})
 	}
