@@ -322,28 +322,38 @@ func TestV2RoundTripStats(t *testing.T) {
 	}
 }
 
-// goldenV2Records is how many records of manyRecords the v2 writer wrote
-// into testdata/golden_v2.bin, under WriterOptions{Compress: true,
-// FrameSize: 64, CheckpointEvery: 2}.
-const goldenV2Records = 120
+// goldenRecords is how many records of manyRecords the v2 and v3 writers
+// wrote into testdata/golden_v2.bin and testdata/golden_v3.bin, each under
+// WriterOptions{Compress: true, FrameSize: 64, CheckpointEvery: 2}.
+const goldenRecords = 120
 
 // TestGoldenV2 pins v2 compatibility the way TestGoldenV1 pins v1: a trace
 // the v2 writer wrote must still open, report version 2, list its
 // checkpoints, and replay exactly the records it was written from —
 // sequentially, through ReplayRange, and through ReplayParallel.
-func TestGoldenV2(t *testing.T) {
-	r, err := Open("testdata/golden_v2.bin")
+func TestGoldenV2(t *testing.T) { checkGolden(t, "testdata/golden_v2.bin", 2) }
+
+// TestGoldenV3 pins v3, the format whose writer emitted checkpoint frames,
+// the same way: a trace the v3 writer wrote with checkpoints must open,
+// report version 3, list its checkpoint frames, and replay exactly the
+// records it was written from.
+func TestGoldenV3(t *testing.T) { checkGolden(t, "testdata/golden_v3.bin", 3) }
+
+// checkGolden opens a pinned compressed trace of manyRecords(goldenRecords)
+// and checks its version, its checkpoint frames, and every replay path.
+func checkGolden(t *testing.T, path string, version uint32) {
+	r, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	st := r.Stats()
-	if st.Version != 2 {
-		t.Fatalf("version = %d, want 2", st.Version)
+	if st.Version != version {
+		t.Fatalf("version = %d, want %d", st.Version, version)
 	}
 	if st.Truncated || !st.Compressed {
 		t.Fatalf("stats = %+v, want a complete compressed trace", st)
 	}
-	want := manyRecords(goldenV2Records)
+	want := manyRecords(goldenRecords)
 	if st.Records != uint64(len(want)) {
 		t.Fatalf("index records = %d, want %d", st.Records, len(want))
 	}

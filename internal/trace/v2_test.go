@@ -314,6 +314,12 @@ func FuzzReplayV2(f *testing.F) {
 		reframeF(f, badMerkle, r.dataEnd, badIdx)
 		f.Add(badMerkle)
 	}
+	// Seed: the pinned v3 trace, written with checkpoint frames.
+	golden3, err := os.ReadFile("testdata/golden_v3.bin")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(golden3)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r, err := NewReader(data)
