@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt build test vet race replay-race bench bench-smoke perfbench-smoke fuzz-smoke chaos-smoke service-smoke bench-service bench-dispatch paper
+.PHONY: check fmt build test vet race bench bench-smoke perfbench-smoke fuzz-smoke chaos-smoke service-smoke bench-service bench-dispatch paper
 
 # The tier-1 gate plus formatting and the concurrency-sensitive packages
 # under the race detector. Run before committing.
@@ -23,39 +23,31 @@ test:
 # transport and the core profiler (its event counter is read from other
 # goroutines mid-run), the probe API (one session per goroutine), the VM
 # (spawn/join thread goroutines), the experiments worker pool that the
-# snapshot registry runs inside, the trace subsystem (parallel replay
-# workers; the store's concurrent-record reservation), the daemon, the
-# distributed dispatcher (lease timers, breaker state, and worker keyed
-# locks race against heartbeat streams), the chaos sweeps (the daemon and
-# distributed targets crash workers and revoke leases mid-stream), and
-# the root package (the events/paths equivalence suite and the threaded
-# transport-equivalence gate, which runs ≥2 concurrent per-thread
-# producers, each with its own transport). Vet runs first so the leg is
-# self-contained in CI.
+# snapshot registry runs inside, the trace subsystem (the store's
+# concurrent-record reservation; the fleet differ on the worker pool), the
+# daemon, the distributed dispatcher (lease timers, breaker state, and
+# worker keyed locks race against heartbeat streams), the chaos sweeps (the
+# daemon and distributed targets crash workers and revoke leases
+# mid-stream), and the root package (the events/paths equivalence suite and
+# the threaded transport-equivalence gate, which runs ≥2 concurrent
+# per-thread producers, each with its own transport). Vet runs first so
+# the leg is self-contained in CI.
 race:
 	$(GO) vet ./...
 	$(GO) test -race . ./internal/events/... ./internal/core ./internal/vm ./internal/experiments/... ./internal/trace/... ./internal/service ./internal/dispatch ./internal/chaos ./probe
 
-# The parallel-replay surface under the race detector, repeated: worker
-# fan-out, chunk merging, cancellation, and the fleet differ are exactly
-# the code where a rare interleaving hides, so this leg runs them -count=3.
-replay-race:
-	$(GO) test -race -count=3 -run 'ReplayParallel|ReplayRange|Fleet|ParallelMatches' . ./internal/trace/...
-
 # Regenerate the machine-readable perf baselines (use -j 1 timings):
 # BENCH_overhead.json (instrumentation overhead + memo ablation),
 # BENCH_pipeline.json (event-transport configurations), and
-# BENCH_replay.json (parallel trace replay + Merkle diff).
+# BENCH_replay.json (sequential trace and profile replay + Merkle diff).
 bench:
 	$(GO) run ./cmd/paper -j 1 bench -out BENCH_overhead.json -pipeline-out BENCH_pipeline.json -replay-out BENCH_replay.json
 
 # One-iteration pass over every Go micro-benchmark — a fast compile-and-run
 # sanity check that the benchmarks themselves still work — followed by the
-# regression gates: the profiler's own cost (fail when the median per-round
-# events-mode over paths-mode time exceeds the recorded BENCH_overhead.json
-# baseline by more than 7%) and parallel replay (fail when the parallel
-# stream diverges from sequential, or is slower than sequential on a
-# multi-core runner).
+# regression gate on the profiler's own cost: fail when the median
+# per-round events-mode over paths-mode time exceeds the recorded
+# BENCH_overhead.json baseline by more than 7%.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime=1x ./...
 	$(GO) run ./cmd/paper -j 1 bench -check
@@ -69,18 +61,16 @@ perfbench-smoke:
 
 # Short live-fuzz legs over the decoder no-panic contracts: the trace
 # reader must recover-or-refuse arbitrary bytes (the recovery scan, v3's
-# delta-coded entity ids, and the checkpoint surface — checkpoints, range
-# replay, parallel replay, range proofs — seeded with v3 traces and the
-# pinned v2 golden trace), the checkpoint decoder must reject damage
-# typed, and the path-counter decoder must reject arbitrary table/counter
-# combinations without crashing or miscounting. The seed corpora also run
+# delta-coded entity ids, and the v2 surface — the Merkle footer, range
+# proofs, legacy checkpoint frames — seeded with v3 traces and the pinned
+# v2 and v3 golden traces), and the path-counter decoder must reject
+# arbitrary table/counter combinations without crashing or miscounting. The seed corpora also run
 # as plain fixtures in `make test`. The FuzzReplayV2 leg caps input
 # minimization at 100 runs: at the default 60 s, minimizing the first
 # new-coverage input it finds outlasts the whole 10 s leg.
 fuzz-smoke:
 	$(GO) test -run Fuzz -fuzz='FuzzReplay$$' -fuzztime=10s ./internal/trace
 	$(GO) test -run Fuzz -fuzz=FuzzReplayV2 -fuzztime=10s -fuzzminimizetime=100x ./internal/trace
-	$(GO) test -run Fuzz -fuzz=FuzzCheckpointDecode -fuzztime=10s ./internal/trace
 	$(GO) test -run Fuzz -fuzz=FuzzDecode -fuzztime=10s ./internal/pathdecode
 
 # Seeded fault-injection sweeps of every chaos target under the race

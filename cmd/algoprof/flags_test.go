@@ -62,7 +62,7 @@ func TestValidateWorkers(t *testing.T) {
 		wantErr bool
 	}{
 		{j: 0},  // documented: all cores
-		{j: 1},  // sequential decode
+		{j: 1},  // one worker
 		{j: 16}, // bounded pool
 		{j: -1, wantErr: true},
 		{j: -8, wantErr: true},

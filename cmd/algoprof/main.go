@@ -6,7 +6,7 @@
 //
 //	algoprof [-seed N] [-unique] [-eager] [-plot ALGO] prog.mj
 //	algoprof record [-store DIR] [-name NAME] [-workload LABEL] [profiling flags] prog.mj
-//	algoprof replay [-store DIR] [-json] [-j N] NAME
+//	algoprof replay [-store DIR] [-json] NAME
 //	algoprof diff   [-store DIR] OLD NEW
 //	algoprof fleetdiff [-store DIR] [-json] [-j N] [-tenant T] BASELINE [RUN...]
 //	algoprof runs   [-store DIR] [-tenant T]
@@ -16,8 +16,7 @@
 //
 // record captures the run's full event stream to a trace store; replay
 // rebuilds the identical profile offline from the stored trace (no VM
-// execution — with -j N the trace decodes on N workers, same profile
-// byte-for-byte); diff compares two stored runs' fitted cost functions and
+// execution); diff compares two stored runs' fitted cost functions and
 // exits non-zero when an algorithm's complexity class regressed (e.g.
 // n·log n → n²), as opposed to mere constant-factor drift, and also
 // reports how the two runs' traces differ frame-by-frame via their Merkle
@@ -37,7 +36,6 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -280,27 +278,18 @@ func cmdReplay(args []string) {
 	fs := flag.NewFlagSet("algoprof replay", flag.ExitOnError)
 	dir := fs.String("store", "traces", "trace store directory")
 	jsonOut := fs.Bool("json", false, "emit the profile as JSON instead of text")
-	workers := fs.Int("j", 1, "decode trace frames on N workers (0 = all cores); the profile is byte-identical to -j 1")
 	fs.Parse(args)
 
 	if fs.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: algoprof replay [-store DIR] [-j N] NAME")
+		fmt.Fprintln(os.Stderr, "usage: algoprof replay [-store DIR] [-json] NAME")
 		fs.PrintDefaults()
 		os.Exit(2)
-	}
-	if err := validateWorkers(*workers); err != nil {
-		fatalUsage(err)
 	}
 	s, err := store.Open(*dir)
 	if err != nil {
 		fatal(err)
 	}
-	var run *store.Run
-	if *workers == 1 {
-		run, err = s.Replay(fs.Arg(0))
-	} else {
-		run, err = s.ReplayParallel(context.Background(), fs.Arg(0), *workers)
-	}
+	run, err := s.Replay(fs.Arg(0))
 	if err != nil {
 		fatal(err)
 	}
@@ -391,6 +380,9 @@ func cmdFleetDiff(args []string) {
 		fmt.Fprintln(os.Stderr, "usage: algoprof fleetdiff [-store DIR] [-json] [-j N] [-tenant T] BASELINE [RUN...]")
 		fs.PrintDefaults()
 		os.Exit(2)
+	}
+	if err := validateWorkers(*workers); err != nil {
+		fatalUsage(err)
 	}
 	experiments.SetParallelism(*workers)
 	s, err := store.Open(*dir)

@@ -482,9 +482,9 @@ type pipelinePoint struct {
 }
 
 // replayReport is the machine-readable replay/diff throughput benchmark
-// written to BENCH_replay.json: sequential vs parallel trace replay (with
-// the byte-identity assertion), end-to-end parallel profile replay, and
-// the Merkle-indexed diff against the full scan it replaces.
+// written to BENCH_replay.json: raw trace replay, end-to-end profile
+// replay (asserted identical to the recording's profile), and the
+// Merkle-indexed diff against the full scan it replaces.
 type replayReport struct {
 	benchHeader
 	Parallelism int    `json:"parallelism"`
@@ -494,7 +494,7 @@ type replayReport struct {
 
 // bench measures overhead and the memoization ablation and writes the
 // results as JSON (the BENCH_overhead.json perf baseline), plus the event
-// transport benchmark (BENCH_pipeline.json) and the parallel-replay/diff
+// transport benchmark (BENCH_pipeline.json) and the replay/diff
 // benchmark (BENCH_replay.json).
 func bench(args []string) error {
 	fs := flag.NewFlagSet("bench", flag.ExitOnError)
@@ -502,9 +502,9 @@ func bench(args []string) error {
 	pipeOut := fs.String("pipeline-out", "BENCH_pipeline.json",
 		"pipeline benchmark output file (\"-\" = stdout, \"\" = skip)")
 	replayOut := fs.String("replay-out", "BENCH_replay.json",
-		"parallel-replay benchmark output file (\"-\" = stdout, \"\" = skip)")
+		"replay benchmark output file (\"-\" = stdout, \"\" = skip)")
 	check := fs.Bool("check", false,
-		"regression gate: measure the per-mode overhead and parallel-replay speedup fresh and fail when either regressed; writes nothing")
+		"regression gate: measure the per-mode overhead fresh and fail when it regressed; writes nothing")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -653,42 +653,6 @@ func benchCheck(baselinePath string, now func() int64) error {
 			fresh, base.Modes.EventsOverPaths, 100*eventsOverPathsTolerance, limit)
 	}
 	fmt.Printf("bench -check: ok (events/paths %.3f <= limit %.3f)\n", fresh, limit)
-	return benchCheckReplay(now)
-}
-
-// benchCheckReplay is the parallel-replay half of the bench-smoke gate: a
-// fresh quick measurement must replay byte-identically at every worker
-// count and must not be slower than sequential at the largest one. The
-// bar is 1.0x, not the committed baseline's speedup — shared runners vary
-// too much in core count for an absolute ratio — so what it catches is
-// parallelism that stopped paying at all, and any identity break.
-func benchCheckReplay(now func() int64) error {
-	res, err := experiments.ReplayBench(sweep, []int{1, 4}, now)
-	if err != nil {
-		return err
-	}
-	for _, p := range res.Points {
-		fmt.Printf("replay -j %d: %v (%.2fx, identical=%v)\n",
-			p.Workers, time.Duration(p.ReplayNs), p.Speedup, p.Identical)
-		if !p.Identical {
-			return fmt.Errorf("bench -check: parallel replay at -j %d diverged from sequential", p.Workers)
-		}
-	}
-	if !res.ProfileIdentical {
-		return fmt.Errorf("bench -check: parallel profile replay (-j %d) diverged from sequential", res.ProfileParWorkers)
-	}
-	last := res.Points[len(res.Points)-1]
-	if cores := runtime.GOMAXPROCS(0); cores < 2 {
-		// One core cannot make parallel decode pay; only identity is
-		// checkable here. The speedup bar applies on multi-core runners.
-		fmt.Printf("bench -check: ok (streams identical; GOMAXPROCS=%d, speedup bar skipped)\n", cores)
-		return nil
-	}
-	if last.Speedup < 1.0 {
-		return fmt.Errorf("bench -check: parallel replay at -j %d is slower than sequential (%.2fx < 1.0x)",
-			last.Workers, last.Speedup)
-	}
-	fmt.Printf("bench -check: ok (replay -j %d %.2fx >= 1.0x, streams identical)\n", last.Workers, last.Speedup)
 	return nil
 }
 
@@ -731,15 +695,15 @@ func benchPipeline(out string, now func() int64) error {
 	return nil
 }
 
-// benchReplay runs the parallel-replay and Merkle-diff benchmark and
-// writes BENCH_replay.json.
+// benchReplay runs the replay and Merkle-diff benchmark and writes
+// BENCH_replay.json.
 func benchReplay(out string, now func() int64) error {
 	var rep replayReport
 	rep.benchHeader = newBenchHeader()
 	rep.Parallelism = experiments.Parallelism()
 	rep.Seed = sweep.Seed
 
-	res, err := experiments.ReplayBench(sweep, []int{1, 2, 4}, now)
+	res, err := experiments.ReplayBench(sweep, now)
 	if err != nil {
 		return err
 	}
@@ -757,14 +721,8 @@ func benchReplay(out string, now func() int64) error {
 	if err := os.WriteFile(out, data, 0o644); err != nil {
 		return err
 	}
-	best := 0.0
-	for _, p := range res.Points {
-		if p.Speedup > best {
-			best = p.Speedup
-		}
-	}
-	fmt.Printf("wrote %s (replay speedup up to %.2fx over %d frames, diff %.1fx)\n",
-		out, best, res.Frames, res.DiffSpeedup)
+	fmt.Printf("wrote %s (replay %v, profile replay %v over %d frames, diff %.1fx)\n",
+		out, time.Duration(res.ReplayNs), time.Duration(res.ProfileReplayNs), res.Frames, res.DiffSpeedup)
 	return nil
 }
 

@@ -171,10 +171,10 @@ func (m *memSink) readers(main []byte) (*trace.Reader, map[int]*trace.Reader, er
 // digests pin: Run, Run with the verifier on, and — in events mode, the
 // only mode traces and the comparison profilers carry — a verified run
 // with Backends, as a daemon all_backends job runs, which must also count
-// Run's events, and a threaded recording with its sequential and 2-worker
-// replays. Small frames and frequent checkpoints give the parallel replay
-// frames to fan out. Traces carry no program output, so the replays take
-// Stdout and Output from the recording.
+// Run's events, and a threaded recording with its replay. Small frames cut
+// the traces into many frames for the replay to cross. Traces carry no
+// program output, so the replay takes Stdout and Output from the
+// recording.
 func entryPointProfiles(src string, cfg algoprof.Config) ([]string, []*algoprof.Profile, error) {
 	verified := cfg
 	verified.Verify = true
@@ -203,7 +203,7 @@ func entryPointProfiles(src string, cfg algoprof.Config) ([]string, []*algoprof.
 	ctx := context.Background()
 	var main bytes.Buffer
 	sink := &memSink{}
-	rec, err := algoprof.RecordSinkContext(ctx, src, cfg, &main, trace.WriterOptions{FrameSize: 1 << 10, CheckpointEvery: 2}, sink.open)
+	rec, err := algoprof.RecordSinkContext(ctx, src, cfg, &main, trace.WriterOptions{FrameSize: 1 << 10}, sink.open)
 	if err != nil {
 		return nil, nil, fmt.Errorf("record: %w", err)
 	}
@@ -215,21 +215,12 @@ func entryPointProfiles(src string, cfg algoprof.Config) ([]string, []*algoprof.
 	if err != nil {
 		return nil, nil, err
 	}
-	seq, err := algoprof.ReplayProgramThreadsContext(ctx, prog, cfg, r, threads)
+	rep, err := algoprof.ReplayProgramThreadsContext(ctx, prog, cfg, r, threads)
 	if err != nil {
 		return nil, nil, fmt.Errorf("replay: %w", err)
 	}
-	if r, threads, err = sink.readers(main.Bytes()); err != nil {
-		return nil, nil, err
-	}
-	par, err := algoprof.ReplayProgramThreadsParallel(ctx, prog, cfg, r, threads, 2)
-	if err != nil {
-		return nil, nil, fmt.Errorf("parallel replay: %w", err)
-	}
-	for _, p := range []*algoprof.Profile{seq, par} {
-		p.Stdout, p.Output = rec.Stdout, rec.Output
-	}
-	return append(names, "recording", "replay", "parallel replay"), append(profiles, rec, seq, par), nil
+	rep.Stdout, rep.Output = rec.Stdout, rec.Output
+	return append(names, "recording", "replay"), append(profiles, rec, rep), nil
 }
 
 // digestLine returns the "program config digest" line of Run's profile,

@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -43,27 +44,36 @@ func recordBackends(t *testing.T, src string, topts trace.WriterOptions) (*algop
 // TestRecordReplayIdentical is the trace subsystem's correctness oracle:
 // recording a combined three-backend pass and replaying the trace offline
 // must reproduce every backend's rendered output byte for byte — and both
-// must match the plain live single-pass run.
+// must match the plain live single-pass run. Small frames cut each
+// recording into many frames, so the frame-local string tables, clock
+// bases and entity-id bases reset many times along the replay.
 func TestRecordReplayIdentical(t *testing.T) {
-	src := workloads.RunningExample(workloads.Random, 24, 8, 2)
-	for _, compress := range []bool{false, true} {
-		live, prog, r := recordBackends(t, src, trace.WriterOptions{Compress: compress})
-		replayed, err := algoprof.ReplayProgram(prog, backendsCfg, r)
-		if err != nil {
-			t.Fatalf("ReplayProgram(compress=%v): %v", compress, err)
-		}
-		liveFP, replayFP := BackendsFingerprint(live), BackendsFingerprint(replayed)
-		if liveFP != replayFP {
-			t.Errorf("compress=%v: replayed backends differ from recorded run\nlive:\n%s\nreplayed:\n%s",
-				compress, liveFP, replayFP)
-		}
+	srcs := map[string]string{
+		"running": workloads.RunningExample(workloads.Random, 24, 8, 2),
+		"sorts":   workloads.MergeVsInsertion(32, 8, 2),
+	}
+	for name, src := range srcs {
 		plain, err := algoprof.Run(src, backendsCfg)
 		if err != nil {
-			t.Fatalf("Run: %v", err)
+			t.Fatalf("%s: Run: %v", name, err)
 		}
-		if plainFP := BackendsFingerprint(plain); plainFP != liveFP {
-			t.Errorf("compress=%v: recording pass differs from plain live pass\nplain:\n%s\nrecorded:\n%s",
-				compress, plainFP, liveFP)
+		plainFP := BackendsFingerprint(plain)
+		for _, topts := range []trace.WriterOptions{{}, {Compress: true}, {FrameSize: 512}} {
+			what := fmt.Sprintf("%s compress=%v frame=%d", name, topts.Compress, topts.FrameSize)
+			live, prog, r := recordBackends(t, src, topts)
+			replayed, err := algoprof.ReplayProgram(prog, backendsCfg, r)
+			if err != nil {
+				t.Fatalf("%s: ReplayProgram: %v", what, err)
+			}
+			liveFP, replayFP := BackendsFingerprint(live), BackendsFingerprint(replayed)
+			if liveFP != replayFP {
+				t.Errorf("%s: replayed backends differ from recorded run\nlive:\n%s\nreplayed:\n%s",
+					what, liveFP, replayFP)
+			}
+			if plainFP != liveFP {
+				t.Errorf("%s: recording pass differs from plain live pass\nplain:\n%s\nrecorded:\n%s",
+					what, plainFP, liveFP)
+			}
 		}
 	}
 }
@@ -100,34 +110,5 @@ func TestReplayGolden(t *testing.T) {
 	if got != string(want) {
 		t.Errorf("replayed output differs from golden file (run with -update if intended)\ngot:\n%s\nwant:\n%s",
 			got, want)
-	}
-}
-
-// TestReplayBackendsParallelMatches extends the oracle to sharded replay:
-// every backend's rendered output after a parallel replay must be byte-
-// identical to the sequential replay's (and therefore to the live run's),
-// across worker counts and workloads. Small frames force many chunks so
-// the merge path actually exercises reordering.
-func TestReplayBackendsParallelMatches(t *testing.T) {
-	srcs := map[string]string{
-		"running": workloads.RunningExample(workloads.Random, 24, 8, 2),
-		"sorts":   workloads.MergeVsInsertion(32, 8, 2),
-	}
-	for name, src := range srcs {
-		_, prog, r := recordBackends(t, src, trace.WriterOptions{FrameSize: 512, CheckpointEvery: 4})
-		seq, err := algoprof.ReplayProgram(prog, backendsCfg, r)
-		if err != nil {
-			t.Fatalf("%s: ReplayProgram: %v", name, err)
-		}
-		seqFP := BackendsFingerprint(seq)
-		for _, workers := range []int{2, 4, 8} {
-			par, err := algoprof.ReplayProgramParallel(t.Context(), prog, backendsCfg, r, workers)
-			if err != nil {
-				t.Fatalf("%s workers=%d: %v", name, workers, err)
-			}
-			if fp := BackendsFingerprint(par); fp != seqFP {
-				t.Errorf("%s workers=%d: parallel replay differs from sequential", name, workers)
-			}
-		}
 	}
 }

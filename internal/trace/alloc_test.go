@@ -3,7 +3,6 @@ package trace
 import (
 	"bytes"
 	"compress/flate"
-	"context"
 	"io"
 	"runtime"
 	"testing"
@@ -61,13 +60,13 @@ func heapBytes(f func()) uint64 {
 // from the pool rather than a fresh flate.NewWriter (about 800 KiB).
 func TestWriterSteadyStateAllocs(t *testing.T) {
 	recs := steadyRecords(200_000)
-	tw := NewWriter(io.Discard, WriterOptions{Compress: true, CheckpointEvery: 4})
+	tw := NewWriter(io.Discard, WriterOptions{Compress: true})
 	pass := func() {
 		for i := range recs {
 			tw.Record(&recs[i])
 		}
 	}
-	pass() // warm up: several frames and a checkpoint
+	pass() // warm up: several frames
 	allocs := testing.AllocsPerRun(3, pass)
 	bytesPerRecord := float64(heapBytes(pass)) / float64(len(recs))
 	if err := tw.Close(); err != nil {
@@ -89,8 +88,8 @@ func TestWriterSteadyStateAllocs(t *testing.T) {
 func TestReplayAllocsFlat(t *testing.T) {
 	noop := func(*pipeline.Record) {}
 	type cost struct {
-		replay, ranged, bytes float64
-		frames                int
+		replay, bytes float64
+		frames        int
 	}
 	measure := func(opts WriterOptions, n int) cost {
 		r, err := NewReader(buildTrace(t, opts, steadyRecords(n)))
@@ -104,17 +103,12 @@ func TestReplayAllocsFlat(t *testing.T) {
 		}
 		c := cost{frames: r.NumFrames()}
 		c.replay = testing.AllocsPerRun(10, replay)
-		c.ranged = testing.AllocsPerRun(10, func() {
-			if err := r.ReplayRange(context.Background(), 0, r.NumFrames(), noop); err != nil {
-				t.Fatal(err)
-			}
-		})
 		c.bytes = float64(heapBytes(replay))
 		return c
 	}
 	for _, compress := range []bool{false, true} {
-		opts := WriterOptions{Compress: compress, CheckpointEvery: 2}
-		small, big := measure(opts, 2_000), measure(opts, 400_000)
+		opts := WriterOptions{Compress: compress}
+		small, big := measure(opts, 2_000), measure(opts, 600_000)
 		if big.frames < 10*small.frames {
 			t.Fatalf("compress=%v: large trace has %d frames, small %d; want many more", compress, big.frames, small.frames)
 		}
@@ -125,9 +119,6 @@ func TestReplayAllocsFlat(t *testing.T) {
 		}
 		if big.replay > small.replay+slack {
 			t.Errorf("compress=%v: Replay makes %v allocations over %d frames, %v over %d", compress, big.replay, big.frames, small.replay, small.frames)
-		}
-		if big.ranged > small.ranged+slack {
-			t.Errorf("compress=%v: ReplayRange makes %v allocations over %d frames, %v over %d", compress, big.ranged, big.frames, small.ranged, small.frames)
 		}
 		if perFrame := (big.bytes - small.bytes) / extra; perFrame > 16<<10 {
 			t.Errorf("compress=%v: Replay allocates %.0f bytes per extra frame, want <= 16 KiB", compress, perFrame)
@@ -141,7 +132,7 @@ func TestReplayAllocsFlat(t *testing.T) {
 // compressed by a fresh flate.NewWriter.
 func TestPooledCompressorBytesIdentical(t *testing.T) {
 	recs := manyRecords(20_000)
-	opts := WriterOptions{Compress: true, FrameSize: 4096, CheckpointEvery: 4}
+	opts := WriterOptions{Compress: true, FrameSize: 4096}
 	first := buildTrace(t, opts, recs)
 	second := buildTrace(t, opts, recs)
 	if !bytes.Equal(first, second) {
@@ -158,8 +149,8 @@ func TestPooledCompressorBytesIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rc.NumFrames() != rp.NumFrames() || len(rc.Checkpoints()) == 0 {
-		t.Fatalf("compressed trace has %d frames (%d checkpoints), raw %d", rc.NumFrames(), len(rc.Checkpoints()), rp.NumFrames())
+	if rc.NumFrames() != rp.NumFrames() {
+		t.Fatalf("compressed trace has %d frames, raw %d", rc.NumFrames(), rp.NumFrames())
 	}
 	for f := 0; f < rc.NumFrames(); f++ {
 		got, _, err := readFrame(first, rc.frameOff[f], nil)

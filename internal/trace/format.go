@@ -33,8 +33,8 @@ const (
 	// TrailerMagic closes every complete trace file.
 	TrailerMagic = "ALGTRIDX"
 	// Version is the current format version, the one writers emit: v2's
-	// layout (checkpoints, Merkle footer) with every entity id coded as a
-	// delta from the frame's previous one (see Writer.putEnt) instead of
+	// layout (Merkle footer, checkpoint list) with every entity id coded as
+	// a delta from the frame's previous one (see Writer.putEnt) instead of
 	// absolute. Readers accept every earlier version too.
 	Version = 3
 	// VersionV1 is the first format: absolute entity ids, no checkpoint
@@ -58,12 +58,10 @@ const (
 // pipeline.Op values, which stay well below 0xF0.
 const tagStrDef = 0xF0
 
-// tagCheckpoint opens a checkpoint frame (format v2): a serialized snapshot
-// of the full shadow heap at a frame boundary, written every
-// WriterOptions.CheckpointEvery data frames. Checkpoint frames carry no
-// events — sequential replay skips them — and exist so a range replay can
-// seed a private shadow heap at the nearest checkpoint at-or-before its
-// first frame instead of decoding the whole prefix.
+// tagCheckpoint opens a checkpoint frame, a legacy frame kind: v2 and v3
+// writers once put a snapshot of the shadow heap in one every 16 data
+// frames, for a range replay that no longer exists. Checkpoint frames
+// carry no events; readers skip them and writers no longer emit them.
 const tagCheckpoint = 0xF1
 
 // Decoder bounds. Real traces stay far under these; they exist so a

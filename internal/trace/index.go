@@ -24,7 +24,8 @@ type Index struct {
 	Records      uint64
 	FinalClock   uint64
 	Instructions uint64
-	// Checkpoints are the checkpoint frame indices, ascending (v2 on).
+	// Checkpoints are the legacy checkpoint frame indices, ascending;
+	// only traces from writers that still emitted them list any.
 	Checkpoints []int
 	// Leaves and Root are the Merkle footer (HasMerkle reports presence —
 	// v1 traces have none).

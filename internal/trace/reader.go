@@ -34,8 +34,7 @@ type Stats struct {
 
 // Reader decodes one trace file. Open validates the header, trailer, and
 // index eagerly; Replay then streams the records through a dispatch
-// function in recorded order. Traces from format v2 on also expose random
-// access (ReplayRange, ReplayParallel) via their checkpoint frames and
+// function in recorded order. Traces from format v2 on also expose
 // integrity proofs via their Merkle footer.
 type Reader struct {
 	data     []byte // full file contents
@@ -46,7 +45,7 @@ type Reader struct {
 	frameRec []uint64 // per-frame record counts from the index
 
 	// Format v2 footer state.
-	ckpts     []int  // checkpoint frame indices, ascending
+	ckpts     []int  // legacy checkpoint frame indices, ascending
 	leaves    []Hash // one Merkle leaf per frame
 	root      Hash
 	hasMerkle bool
@@ -302,6 +301,18 @@ func (r *Reader) parseIndex(idx []byte) error {
 // Stats returns the trace summary from the index.
 func (r *Reader) Stats() Stats { return r.stats }
 
+// NumFrames returns how many frames the trace holds (data and checkpoint
+// frames both count; frame indices given to ProveRange are positions in
+// this sequence).
+func (r *Reader) NumFrames() int { return len(r.frameOff) }
+
+// Checkpoints returns the frame indices of the trace's checkpoint frames,
+// ascending. Only v2 and v3 traces written before the writer stopped
+// emitting them list any; replay skips them.
+func (r *Reader) Checkpoints() []int {
+	return append([]int(nil), r.ckpts...)
+}
+
 // readFrame decodes the frame envelope at off: payload length, CRC check,
 // and, when z is non-nil, decompression into z's buffer. It returns the
 // payload and the offset just past the frame.
@@ -411,8 +422,7 @@ func (d *frameDecoder) release() {
 // processing record k observes exactly the heap state the live listener
 // saw at record k. As with a pipeline.RecordTap,
 // the record is valid only for the duration of the call: the reader
-// decodes the next event into it. The same holds for ReplayRange and
-// ReplayParallel.
+// decodes the next event into it.
 func (r *Reader) Replay(dispatch func(*pipeline.Record)) error {
 	return r.ReplayContext(context.Background(), dispatch)
 }
@@ -441,8 +451,8 @@ func (r *Reader) ReplayContext(ctx context.Context, dispatch func(*pipeline.Reco
 			return err
 		}
 		if len(payload) > 0 && payload[0] == tagCheckpoint {
-			// Checkpoint frames carry heap snapshots, not events; sequential
-			// replay rebuilds the heap itself, so they are skipped whole.
+			// Checkpoint frames carry heap snapshots, not events; replay
+			// rebuilds the heap itself, so they are skipped whole.
 			off = next
 			continue
 		}
@@ -476,32 +486,10 @@ func (d *frameDecoder) replayAtomic(b []byte, heap *shadowHeap, dispatch func(*p
 }
 
 // replay decodes one frame payload, binding each record against the
-// shadow heap and dispatching it in stream order.
+// shadow heap and dispatching it in stream order. The string table, clock
+// base and entity-id base are frame-local, so every frame decodes
+// independently of the frames before it; only the heap carries over.
 func (d *frameDecoder) replay(b []byte, heap *shadowHeap, dispatch func(*pipeline.Record)) error {
-	return d.events(b, func(rec *pipeline.Record) error {
-		if err := bindBody(heap, rec); err != nil {
-			return err
-		}
-		dispatch(rec)
-		return nil
-	})
-}
-
-// parse decodes one frame payload without a heap, appending its records
-// to recs. On error it returns the records parsed before the damage.
-func (d *frameDecoder) parse(b []byte, recs []pipeline.Record) ([]pipeline.Record, error) {
-	err := d.events(b, func(rec *pipeline.Record) error {
-		recs = append(recs, *rec)
-		return nil
-	})
-	return recs, err
-}
-
-// events decodes one frame payload and calls emit with each event in
-// stream order. The record is parsed but not yet bound to a heap, and is
-// reused for the next event. The string table, clock base and entity-id
-// base are frame-local, so every frame decodes independently.
-func (d *frameDecoder) events(b []byte, emit func(*pipeline.Record) error) error {
 	d.strs = d.strs[:0]
 	d.prevEnt = 0
 	var clock uint64
@@ -539,9 +527,10 @@ func (d *frameDecoder) events(b []byte, emit func(*pipeline.Record) error) error
 		if pos, err = d.parseBody(b, pos); err != nil {
 			return err
 		}
-		if err := emit(&d.rec); err != nil {
+		if err := bindBody(heap, &d.rec); err != nil {
 			return err
 		}
+		dispatch(&d.rec)
 	}
 	return nil
 }
@@ -558,8 +547,7 @@ func (d *frameDecoder) entID(v uint64) int64 {
 }
 
 // parseBody reads the op-specific fields of one event into d.rec. It
-// touches no heap state, so frames can be parsed concurrently and out of
-// order; bindBody later resolves entity ids in stream order.
+// touches no heap state; bindBody then resolves the entity ids.
 func (d *frameDecoder) parseBody(b []byte, pos int) (int, error) {
 	rec, strs := &d.rec, d.strs
 	var err error
@@ -665,10 +653,9 @@ func (d *frameDecoder) parseBody(b []byte, pos int) (int, error) {
 }
 
 // bindBody resolves a parsed record's entity ids against (and mutates) the
-// shadow heap, filling E1/E2. It must run in stream order, so every heap
-// mutation is applied before its record is dispatched: a listener
-// processing record k observes exactly the heap state the live listener
-// saw there.
+// shadow heap, filling E1/E2. Every heap mutation is applied before its
+// record is dispatched: a listener processing record k observes exactly
+// the heap state the live listener saw there.
 func bindBody(heap *shadowHeap, rec *pipeline.Record) error {
 	switch rec.Op {
 	case pipeline.OpFieldGet, pipeline.OpArrayLoad, pipeline.OpAlloc:

@@ -213,15 +213,6 @@ func (h *shadowHeap) putOther(id int64, e *shadowEntity) {
 	h.other[id] = e
 }
 
-// len returns how many ids the heap resolves.
-func (h *shadowHeap) len() int {
-	n := len(h.other)
-	for _, s := range h.spans {
-		n += len(s.ents)
-	}
-	return n
-}
-
 // alloc materializes the shadow of a journaled allocation.
 func (h *shadowHeap) alloc(id int64, classID int, capacity int, mode events.ElemMode, typeName string) (*shadowEntity, error) {
 	if capacity > maxCapacity {

@@ -185,3 +185,45 @@ func TestReplayReadFaultTyped(t *testing.T) {
 		t.Errorf("replay err = %v, want typed resource fault", err)
 	}
 }
+
+// TestReplayCorruptFrameTyped: a trace damaged mid-stream, with its index
+// intact, fails Replay as corruption that names the damaged frame's file
+// offset.
+func TestReplayCorruptFrameTyped(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, err := s.Record("run", smallSrc(), "w", algoprof.Config{}, trace.WriterOptions{Compress: true, FrameSize: 512})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(run.Dir, traceFile)
+	ix, err := trace.OpenIndex(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ix.Frames < 4 {
+		t.Fatalf("trace has %d frames; the test wants a mid-trace frame", ix.Frames)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	victim := ix.FrameOff[ix.Frames/2]
+	data[victim+6] ^= 0xFF // a payload byte: the frame's CRC catches it
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = s.Replay("run")
+	var ce *trace.CorruptError
+	if !errors.Is(err, trace.ErrCorrupt) || !errors.As(err, &ce) {
+		t.Fatalf("replay err = %v, want a *trace.CorruptError", err)
+	}
+	if faultinject.ClassOf(err) != faultinject.Corruption {
+		t.Errorf("fault class %v, want Corruption", faultinject.ClassOf(err))
+	}
+	if ce.Off != victim {
+		t.Errorf("error names offset %d, want the damaged frame's %d", ce.Off, victim)
+	}
+}

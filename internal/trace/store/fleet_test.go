@@ -1,8 +1,6 @@
 package store
 
 import (
-	"bytes"
-	"context"
 	"testing"
 
 	"algoprof"
@@ -82,31 +80,6 @@ func TestFleetDiffDamagedRun(t *testing.T) {
 	}
 	if rep.Failed != 1 || rep.Identical != 1 {
 		t.Fatalf("report after damage: %+v", rep)
-	}
-}
-
-// TestStoreReplayParallelIdentical: the store's parallel replay must yield
-// the same profile JSON as its sequential replay.
-func TestStoreReplayParallelIdentical(t *testing.T) {
-	s := fleetStore(t)
-	seq, err := s.Replay("base")
-	if err != nil {
-		t.Fatalf("Replay: %v", err)
-	}
-	par, err := s.ReplayParallel(context.Background(), "base", 4)
-	if err != nil {
-		t.Fatalf("ReplayParallel: %v", err)
-	}
-	sj, err := seq.Profile.JSON()
-	if err != nil {
-		t.Fatalf("seq JSON: %v", err)
-	}
-	pj, err := par.Profile.JSON()
-	if err != nil {
-		t.Fatalf("par JSON: %v", err)
-	}
-	if !bytes.Equal(sj, pj) {
-		t.Fatalf("parallel store replay differs from sequential")
 	}
 }
 

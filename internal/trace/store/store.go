@@ -467,20 +467,11 @@ func (s *Store) Load(name string) (*Run, error) {
 // no index or trailer) replay through the reader's recovery path and come
 // back as degraded profiles covering the captured prefix.
 func (s *Store) Replay(name string) (*Run, error) {
-	return s.ReplayParallel(context.Background(), name, 1)
-}
-
-// ReplayParallel is Replay with cooperative cancellation, checked at every
-// trace frame, and with the trace's frame decoding fanned out over workers
-// goroutines (≤ 0 means GOMAXPROCS); the resulting profile is
-// byte-identical to a sequential replay's. v1 and interrupted traces fall
-// back to the sequential path automatically, as does workers == 1.
-func (s *Store) ReplayParallel(ctx context.Context, name string, workers int) (*Run, error) {
 	st, err := s.load(name)
 	if err != nil {
 		return nil, err
 	}
-	prof, err := algoprof.ReplayProgramThreadsParallel(ctx, st.prog, st.run.Manifest.Config, st.main, st.threads, workers)
+	prof, err := algoprof.ReplayProgramThreadsContext(context.Background(), st.prog, st.run.Manifest.Config, st.main, st.threads)
 	if err != nil {
 		return nil, err
 	}

@@ -14,10 +14,9 @@ import (
 
 // TestThreadedRecordReplayRoundTrip is the threaded byte-identity gate:
 // a run that spawns VM threads records one trace per thread alongside the
-// main trace, the manifest lists every thread, and both sequential and
-// parallel replay rebuild a profile byte-identical to the live one —
-// per-thread trees, "t<tid>:" attribution, summed instruction count and
-// all.
+// main trace, the manifest lists every thread, and replay rebuilds a
+// profile byte-identical to the live one — per-thread trees, "t<tid>:"
+// attribution, summed instruction count and all.
 func TestThreadedRecordReplayRoundTrip(t *testing.T) {
 	s, err := Open(t.TempDir())
 	if err != nil {
@@ -44,21 +43,16 @@ func TestThreadedRecordReplayRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, replay := range map[string]func() (*Run, error){
-		"sequential": func() (*Run, error) { return s.Replay("threaded") },
-		"parallel":   func() (*Run, error) { return s.ReplayParallel(t.Context(), "threaded", 4) },
-	} {
-		rep, err := replay()
-		if err != nil {
-			t.Fatalf("%s replay: %v", name, err)
-		}
-		repJSON, err := rep.Profile.JSON()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(liveJSON, repJSON) {
-			t.Errorf("%s replay differs from live profile\nlive:\n%s\nreplayed:\n%s", name, liveJSON, repJSON)
-		}
+	rep, err := s.Replay("threaded")
+	if err != nil {
+		t.Fatalf("replay: %v", err)
+	}
+	repJSON, err := rep.Profile.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(liveJSON, repJSON) {
+		t.Errorf("replay differs from live profile\nlive:\n%s\nreplayed:\n%s", liveJSON, repJSON)
 	}
 }
 

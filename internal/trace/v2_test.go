@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -12,7 +11,6 @@ import (
 	"testing"
 
 	"algoprof/internal/events/pipeline"
-	"algoprof/internal/faultinject"
 )
 
 // TestMerkleProofExhaustive checks every (n, lo, hi) combination up to a
@@ -67,7 +65,7 @@ func reframe(t *testing.T, data []byte, off int64, p []byte) {
 }
 
 func TestOpenIndexMatchesReader(t *testing.T) {
-	data := buildTrace(t, WriterOptions{FrameSize: 64, CheckpointEvery: 4}, manyRecords(600))
+	data := buildTrace(t, WriterOptions{FrameSize: 64}, manyRecords(600))
 	r, err := NewReader(data)
 	if err != nil {
 		t.Fatalf("NewReader: %v", err)
@@ -92,7 +90,7 @@ func TestOpenIndexMatchesReader(t *testing.T) {
 }
 
 func TestVerifyFileRange(t *testing.T) {
-	data := buildTrace(t, WriterOptions{FrameSize: 64, CheckpointEvery: 4}, manyRecords(600))
+	data := buildTrace(t, WriterOptions{FrameSize: 64}, manyRecords(600))
 	path := writeTempTrace(t, data)
 	ix, err := OpenIndex(path)
 	if err != nil {
@@ -165,7 +163,7 @@ func TestVerifyFileRange(t *testing.T) {
 
 func TestDiffTraceFiles(t *testing.T) {
 	recs := manyRecords(600)
-	opts := WriterOptions{FrameSize: 64, CheckpointEvery: 4}
+	opts := WriterOptions{FrameSize: 64}
 	base := buildTrace(t, opts, recs)
 	basePath := writeTempTrace(t, base)
 
@@ -241,43 +239,15 @@ func TestDiffGoldenV1SlowPath(t *testing.T) {
 	}
 }
 
-// TestReplayParallelFaultClass: a fault mid-shard must surface as a typed,
-// Corruption-classified error from every replay strategy, and the failing
-// shard's siblings must wind down through the context without deadlock
-// (the test would time out otherwise; the race leg runs it under -race).
-func TestReplayParallelFaultClass(t *testing.T) {
-	data := buildTrace(t, WriterOptions{FrameSize: 64, CheckpointEvery: 4}, manyRecords(600))
-	r, err := NewReader(data)
-	if err != nil {
-		t.Fatalf("NewReader: %v", err)
-	}
-	mid := r.NumFrames() / 2
-	evil := append([]byte(nil), data...)
-	evil[r.frameOff[mid]+6] ^= 0xFF
-	er, err := NewReader(evil)
-	if err != nil {
-		t.Fatalf("NewReader(evil): %v", err)
-	}
-	noop := func(*pipeline.Record) {}
-	for _, workers := range []int{2, 4, 8} {
-		err := er.ReplayParallel(context.Background(), workers, noop)
-		if !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("workers=%d: want ErrCorrupt, got %v", workers, err)
-		}
-		if faultinject.ClassOf(err) != faultinject.Corruption {
-			t.Fatalf("workers=%d: fault class %v, want Corruption", workers, faultinject.ClassOf(err))
-		}
-	}
-}
-
-// FuzzReplayV2 exercises the v2 surface — checkpoint seeding, range replay,
-// parallel replay, range proofs — on mutated traces. Every failure must be
-// a typed *CorruptError; a panic or an untyped error fails the fuzz.
+// FuzzReplayV2 exercises the surface traces have from v2 on — the Merkle
+// footer, range proofs, and the legacy checkpoint frames replay skips — on
+// mutated traces. Every failure must be a typed *CorruptError; a panic or
+// an untyped error fails the fuzz.
 func FuzzReplayV2(f *testing.F) {
 	recs := manyRecords(200)
-	plain := buildTrace(f, WriterOptions{FrameSize: 64, CheckpointEvery: 2}, recs)
+	plain := buildTrace(f, WriterOptions{FrameSize: 64}, recs)
 	f.Add(plain)
-	f.Add(buildTrace(f, WriterOptions{FrameSize: 64, CheckpointEvery: 2, Compress: true}, recs))
+	f.Add(buildTrace(f, WriterOptions{FrameSize: 64, Compress: true}, recs))
 	// Seed: the pinned v2 trace, so the v2 decode path stays fuzzed.
 	golden, err := os.ReadFile("testdata/golden_v2.bin")
 	if err != nil {
@@ -285,40 +255,49 @@ func FuzzReplayV2(f *testing.F) {
 	}
 	f.Add(golden)
 
-	// Seed: a checkpoint frame whose decoded content is cut short (zeros
-	// where heap sections should be), CRC valid — the decoder must reject
-	// it with a typed error, not panic.
-	if r, err := NewReader(plain); err == nil && len(r.ckpts) > 0 {
-		ck := r.ckpts[0]
-		payload, _, err := readFrame(plain, r.frameOff[ck], nil)
-		if err != nil {
-			f.Fatalf("read checkpoint: %v", err)
-		}
-		cut := append([]byte(nil), payload...)
-		for i := len(cut) / 2; i < len(cut); i++ {
-			cut[i] = 0
-		}
-		truncated := append([]byte(nil), plain...)
-		reframeF(f, truncated, r.frameOff[ck], cut)
-		f.Add(truncated)
-
-		// Seed: a corrupted Merkle node in the footer, CRC fixed up so the
-		// index parses and the damage must be caught by hash comparison.
-		idxPayload, _, err := readFrame(plain, r.dataEnd, nil)
-		if err != nil {
-			f.Fatalf("read index: %v", err)
-		}
-		badIdx := append([]byte(nil), idxPayload...)
-		badIdx[len(badIdx)-HashSize-3] ^= 0xFF
-		badMerkle := append([]byte(nil), plain...)
-		reframeF(f, badMerkle, r.dataEnd, badIdx)
-		f.Add(badMerkle)
-	}
-	// Seed: the pinned v3 trace, written with checkpoint frames.
+	// Seed: the pinned v3 trace with its first checkpoint frame cut short
+	// (zeros where the second half of its payload was), CRC valid — replay
+	// must skip the frame or refuse it typed, never panic.
 	golden3, err := os.ReadFile("testdata/golden_v3.bin")
 	if err != nil {
 		f.Fatal(err)
 	}
+	r3, err := NewReader(golden3)
+	if err != nil {
+		f.Fatal(err)
+	}
+	if len(r3.ckpts) == 0 {
+		f.Fatal("golden v3 trace lists no checkpoint frames")
+	}
+	ck := r3.frameOff[r3.ckpts[0]]
+	payload, _, err := readFrame(golden3, ck, nil)
+	if err != nil {
+		f.Fatalf("read checkpoint: %v", err)
+	}
+	cut := append([]byte(nil), payload...)
+	for i := len(cut) / 2; i < len(cut); i++ {
+		cut[i] = 0
+	}
+	truncated := append([]byte(nil), golden3...)
+	reframeF(f, truncated, ck, cut)
+	f.Add(truncated)
+
+	// Seed: a corrupted Merkle node in the footer, CRC fixed up so the
+	// index parses and the damage must be caught by hash comparison.
+	r, err := NewReader(plain)
+	if err != nil {
+		f.Fatal(err)
+	}
+	idxPayload, _, err := readFrame(plain, r.dataEnd, nil)
+	if err != nil {
+		f.Fatalf("read index: %v", err)
+	}
+	badIdx := append([]byte(nil), idxPayload...)
+	badIdx[len(badIdx)-HashSize-3] ^= 0xFF
+	badMerkle := append([]byte(nil), plain...)
+	reframeF(f, badMerkle, r.dataEnd, badIdx)
+	f.Add(badMerkle)
+	// Seed: the pinned v3 trace, written with checkpoint frames.
 	f.Add(golden3)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -327,16 +306,8 @@ func FuzzReplayV2(f *testing.F) {
 			mustTyped(t, err)
 			return
 		}
-		noop := func(*pipeline.Record) {}
-		ctx := context.Background()
-		mustTyped(t, r.Replay(noop))
-		n := r.NumFrames()
-		if n > 0 {
-			mustTyped(t, r.ReplayRange(ctx, n/2, n, noop))
-			mustTyped(t, r.ReplayRange(ctx, 0, min(2, n), noop))
-		}
-		mustTyped(t, r.ReplayParallel(ctx, 3, noop))
-		if r.HasMerkle() && n > 0 {
+		mustTyped(t, r.Replay(func(*pipeline.Record) {}))
+		if n := r.NumFrames(); r.HasMerkle() && n > 0 {
 			lo, hi := n/3, n/3+1
 			proof, err := r.ProveRange(lo, hi)
 			if err != nil {
@@ -375,11 +346,6 @@ func mustTyped(t *testing.T, err error) {
 	t.Fatalf("untyped error: %v", err)
 }
 
-// forgedEntityCount is a checkpoint payload (after its tag) whose entity
-// count decodes to about 1.27 billion: sized from that count, the
-// decoder's entity table alone would take 10 GB.
-const forgedEntityCount = "\xde\xde\xde\xde\x04000"
-
 // allocated reports how many heap bytes f allocates.
 func allocated(f func()) uint64 {
 	var before, after runtime.MemStats
@@ -389,56 +355,20 @@ func allocated(f func()) uint64 {
 	return after.TotalAlloc - before.TotalAlloc
 }
 
-// TestForgedCountsRefused: a checkpoint or index whose item count the
-// payload cannot hold is refused typed, with preallocation bounded by the
-// payload rather than by the count.
+// TestForgedCountsRefused: an index whose frame count the payload cannot
+// hold is refused typed, with preallocation bounded by the payload rather
+// than by the count.
 func TestForgedCountsRefused(t *testing.T) {
-	ckpt := append([]byte{tagCheckpoint}, forgedEntityCount...)
 	// An index claiming 2^32-1 frames, then one frame entry and the end.
 	index := binary.AppendUvarint(nil, 1<<32-1)
 	index = binary.AppendUvarint(index, headerSize)
 	index = binary.AppendUvarint(index, 1)
-	cases := []struct {
-		name   string
-		decode func() error
-	}{
-		{"checkpoint", func() error { _, err := decodeCheckpoint(ckpt); return err }},
-		{"index", func() error { _, err := parseIndexData(index, Version, 1<<20); return err }},
+	var err error
+	n := allocated(func() { _, err = parseIndexData(index, Version, 1<<20) })
+	if !errors.Is(err, ErrCorrupt) {
+		t.Errorf("err = %v, want ErrCorrupt", err)
 	}
-	for _, tc := range cases {
-		var err error
-		n := allocated(func() { err = tc.decode() })
-		if !errors.Is(err, ErrCorrupt) {
-			t.Errorf("%s: err = %v, want ErrCorrupt", tc.name, err)
-		}
-		if n > 1<<20 {
-			t.Errorf("%s: decoding a %d-byte forgery allocated %d bytes", tc.name, len(ckpt), n)
-		}
+	if n > 1<<20 {
+		t.Errorf("decoding a %d-byte forged index allocated %d bytes", len(index), n)
 	}
-}
-
-// FuzzCheckpointDecode hammers the checkpoint decoder directly: any input
-// must produce a heap or a typed error, never a panic.
-func FuzzCheckpointDecode(f *testing.F) {
-	var heap shadowHeap
-	recs := manyRecords(60)
-	for i := range recs {
-		_ = heap.applyRecord(&recs[i])
-	}
-	valid := encodeCheckpoint(&heap)
-	f.Add(valid)
-	f.Add(valid[:len(valid)/2])
-	f.Add(valid[:1])
-	flipped := append([]byte(nil), valid...)
-	flipped[len(flipped)/3] ^= 0xFF
-	f.Add(flipped)
-	f.Add([]byte(forgedEntityCount))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) == 0 || data[0] != tagCheckpoint {
-			data = append([]byte{tagCheckpoint}, data...)
-		}
-		if _, err := decodeCheckpoint(data); err != nil && !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("untyped error: %v", err)
-		}
-	})
 }

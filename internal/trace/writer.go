@@ -25,18 +25,7 @@ type WriterOptions struct {
 	// Close still writes the index and trailer, so the truncated trace
 	// is a complete, replayable file covering the run's prefix.
 	MaxBytes int64
-	// CheckpointEvery is the number of data frames between heap-checkpoint
-	// frames (0 = the default, DefaultCheckpointEvery; negative disables
-	// checkpoints, which forfeits sharded replay but keeps the Merkle
-	// footer). Checkpoints are what let ReplayRange and ReplayParallel
-	// seed a shard's shadow heap without decoding the whole prefix.
-	CheckpointEvery int
 }
-
-// DefaultCheckpointEvery is the default checkpoint cadence: one heap
-// checkpoint per this many data frames (~1 MiB of raw payload at the
-// default frame size).
-const DefaultCheckpointEvery = 16
 
 // Writer streams pipeline records to a trace file. It implements both
 // events.Listener (as a no-op, so it can be added to a Transport) and
@@ -68,14 +57,9 @@ type Writer struct {
 	truncated    bool
 	dropped      uint64
 
-	// Format v2 state: the writer-side mirror of the replay shadow heap
-	// (serialized into checkpoint frames), the checkpoint cadence counter,
-	// the checkpointed frame indices, and one Merkle leaf per frame.
-	mirror    shadowHeap
-	sinceCkpt int
-	ckpts     []int
-	leaves    []Hash
-	root      Hash
+	// Format v2 footer state: one Merkle leaf per frame, and their root.
+	leaves []Hash
+	root   Hash
 }
 
 type frameInfo struct {
@@ -88,9 +72,6 @@ type frameInfo struct {
 func NewWriter(w io.Writer, opts WriterOptions) *Writer {
 	if opts.FrameSize <= 0 {
 		opts.FrameSize = 64 << 10
-	}
-	if opts.CheckpointEvery == 0 {
-		opts.CheckpointEvery = DefaultCheckpointEvery
 	}
 	tw := &Writer{w: w, opts: opts, strs: map[string]int{}}
 	var flags uint32
@@ -136,13 +117,6 @@ func (tw *Writer) Record(r *pipeline.Record) {
 		return
 	}
 	tw.encode(r)
-	// Mirror the reader's shadow-heap mutation for this record, so a
-	// checkpoint at the next frame boundary captures exactly the heap a
-	// sequential replay holds there. A record the mirror rejects (e.g. a
-	// store past the journaled capacity) is one the reader will reject at
-	// replay too, so the stream past it is unreachable either way — the
-	// writer records it verbatim and leaves the verdict to the reader.
-	_ = tw.mirror.applyRecord(r)
 	tw.frameRecords++
 	tw.totalRecords++
 	tw.finalClock = r.Clock
@@ -150,14 +124,6 @@ func (tw *Writer) Record(r *pipeline.Record) {
 		tw.flushFrame()
 		if m := tw.opts.MaxBytes; m > 0 && tw.off >= m {
 			tw.truncated = true
-			return
-		}
-		if k := tw.opts.CheckpointEvery; k > 0 {
-			tw.sinceCkpt++
-			if tw.sinceCkpt >= k {
-				tw.writeCheckpoint()
-				tw.sinceCkpt = 0
-			}
 		}
 	}
 }
@@ -271,17 +237,6 @@ func (tw *Writer) flushFrame() {
 	tw.frameRecords = 0
 }
 
-// writeCheckpoint serializes the mirror heap as a checkpoint frame (zero
-// records) and remembers its frame index so the reader can seed range
-// replays from it.
-func (tw *Writer) writeCheckpoint() {
-	if tw.err != nil {
-		return
-	}
-	tw.ckpts = append(tw.ckpts, len(tw.frames))
-	tw.emitFrame(encodeCheckpoint(&tw.mirror), 0)
-}
-
 // deflaters recycles DEFLATE compressors across writers: each carries
 // about 800 KiB of match tables, and a compressor Reset onto a new
 // destination emits exactly the bytes a fresh flate.NewWriter would.
@@ -369,12 +324,10 @@ func (tw *Writer) Close() error {
 	idx = putUvarint(idx, tw.totalRecords)
 	idx = putUvarint(idx, tw.finalClock)
 	idx = putUvarint(idx, tw.instructions)
-	// Format v2 index tail: checkpoint frame indices, one Merkle leaf per
-	// frame, and the tree root.
-	idx = putUvarint(idx, uint64(len(tw.ckpts)))
-	for _, c := range tw.ckpts {
-		idx = putUvarint(idx, uint64(c))
-	}
+	// Format v2 index tail: the checkpoint frame count (always 0 now;
+	// older writers listed their checkpoint frames here), one Merkle leaf
+	// per frame, and the tree root.
+	idx = putUvarint(idx, 0)
 	for _, l := range tw.leaves {
 		idx = append(idx, l[:]...)
 	}

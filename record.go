@@ -51,36 +51,18 @@ func RecordSinkContext(ctx context.Context, src string, cfg Config, w io.Writer,
 // (MaxEvents, MaxLiveBytes) apply during replay exactly as they did live,
 // which keeps replay-equality for degraded runs.
 func ReplayProgram(prog *bytecode.Program, cfg Config, r *trace.Reader) (*Profile, error) {
-	return replay(context.Background(), prog, cfg, r, nil, 1)
-}
-
-// ReplayProgramParallel is ReplayProgram with cooperative cancellation,
-// checked at every frame boundary, and with the trace's per-frame decode
-// work fanned out over workers goroutines (≤ 0 means GOMAXPROCS). The
-// profile is byte-identical to a sequential replay's: records are still
-// bound and dispatched in recorded order on one shadow heap (see
-// trace.Reader.ReplayParallel). v1 and truncated traces fall back to the
-// sequential path, as does workers == 1.
-func ReplayProgramParallel(ctx context.Context, prog *bytecode.Program, cfg Config, r *trace.Reader, workers int) (*Profile, error) {
-	return replay(ctx, prog, cfg, r, nil, workers)
+	return replay(context.Background(), prog, cfg, r, nil)
 }
 
 // ReplayProgramThreadsContext replays a threaded recording offline with
-// cooperative cancellation: r drives the main thread's profiler and each
-// entry of threadTraces (keyed by thread id) drives a profiler of its own
-// — the same per-thread trees the live run built — before the report-time
-// merge folds them together. With the recording's Config the result is
-// byte-identical to the live threaded profile.
+// cooperative cancellation, checked at every frame boundary: r drives the
+// main thread's profiler and each entry of threadTraces (keyed by thread
+// id) drives a profiler of its own — the same per-thread trees the live
+// run built — before the report-time merge folds them together. With the
+// recording's Config the result is byte-identical to the live threaded
+// profile.
 func ReplayProgramThreadsContext(ctx context.Context, prog *bytecode.Program, cfg Config, r *trace.Reader, threadTraces map[int]*trace.Reader) (*Profile, error) {
-	return replay(ctx, prog, cfg, r, threadTraces, 1)
-}
-
-// ReplayProgramThreadsParallel is ReplayProgramThreadsContext with each
-// trace's per-frame decode fanned out over workers goroutines. Traces are
-// still replayed one at a time in thread-id order — parallelism is within
-// a trace, ordering across traces is irrelevant to the merged report.
-func ReplayProgramThreadsParallel(ctx context.Context, prog *bytecode.Program, cfg Config, r *trace.Reader, threadTraces map[int]*trace.Reader, workers int) (*Profile, error) {
-	return replay(ctx, prog, cfg, r, threadTraces, workers)
+	return replay(ctx, prog, cfg, r, threadTraces)
 }
 
 // coreOptions maps the public Config to profiler-core options.

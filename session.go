@@ -374,10 +374,9 @@ func live(ctx context.Context, prog *bytecode.Program, cfg Config, w io.Writer, 
 
 // replay rebuilds a profile offline: the one path behind the Replay entry
 // points. r and each of threadTraces (keyed by thread id) drive a session
-// of their own, as the live run's threads did, each trace decoded over
-// workers goroutines (1 = sequential; see trace.Reader.ReplayParallel);
-// the sessions then merge exactly as a live threaded run's do.
-func replay(ctx context.Context, prog *bytecode.Program, cfg Config, r *trace.Reader, threadTraces map[int]*trace.Reader, workers int) (*Profile, error) {
+// of their own, as the live run's threads did; the sessions then merge
+// exactly as a live threaded run's do.
+func replay(ctx context.Context, prog *bytecode.Program, cfg Config, r *trace.Reader, threadTraces map[int]*trace.Reader) (*Profile, error) {
 	ins, err := instrumentFor(prog, cfg, true)
 	if err != nil {
 		return nil, err
@@ -385,7 +384,7 @@ func replay(ctx context.Context, prog *bytecode.Program, cfg Config, r *trace.Re
 	var instrs uint64
 	open := func(tid int, tr *trace.Reader) (*session, error) {
 		s := newSession(ins, cfg, tid, nil, true)
-		if err := tr.ReplayParallel(ctx, workers, s.tp.Dispatch); err != nil {
+		if err := tr.ReplayContext(ctx, s.tp.Dispatch); err != nil {
 			return nil, err
 		}
 		if tr.Stats().Truncated {
