@@ -44,10 +44,23 @@ func recordBackends(t *testing.T, src string, topts trace.WriterOptions) (*algop
 // TestRecordReplayIdentical is the trace subsystem's correctness oracle:
 // recording a combined three-backend pass and replaying the trace offline
 // must reproduce every backend's rendered output byte for byte — and both
-// must match the plain live single-pass run. Small frames cut each
-// recording into many frames, so the frame-local string tables, clock
-// bases and entity-id bases reset many times along the replay.
+// must match the plain live single-pass run.
 func TestRecordReplayIdentical(t *testing.T) {
+	checkBackendsRoundTrip(t, trace.WriterOptions{}, trace.WriterOptions{Compress: true})
+}
+
+// TestReplayBackendsManyFrames runs the oracle on small frames, which cut
+// each recording into many frames, so the frame-local string tables, clock
+// bases and entity-id bases reset many times along the replay.
+func TestReplayBackendsManyFrames(t *testing.T) {
+	checkBackendsRoundTrip(t, trace.WriterOptions{FrameSize: 512})
+}
+
+// checkBackendsRoundTrip records a combined three-backend pass of the
+// running example and the sort comparison under each of opts, and requires
+// the replayed, recorded and plain live runs to render identically.
+func checkBackendsRoundTrip(t *testing.T, opts ...trace.WriterOptions) {
+	t.Helper()
 	srcs := map[string]string{
 		"running": workloads.RunningExample(workloads.Random, 24, 8, 2),
 		"sorts":   workloads.MergeVsInsertion(32, 8, 2),
@@ -58,7 +71,7 @@ func TestRecordReplayIdentical(t *testing.T) {
 			t.Fatalf("%s: Run: %v", name, err)
 		}
 		plainFP := BackendsFingerprint(plain)
-		for _, topts := range []trace.WriterOptions{{}, {Compress: true}, {FrameSize: 512}} {
+		for _, topts := range opts {
 			what := fmt.Sprintf("%s compress=%v frame=%d", name, topts.Compress, topts.FrameSize)
 			live, prog, r := recordBackends(t, src, topts)
 			replayed, err := algoprof.ReplayProgram(prog, backendsCfg, r)

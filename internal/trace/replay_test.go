@@ -113,14 +113,43 @@ func TestReplayCorruptMidTrace(t *testing.T) {
 		if !errors.Is(err, ErrCorrupt) || !errors.As(err, &ce) {
 			t.Fatalf("%s: err = %v, want a *CorruptError", name, err)
 		}
-		if faultinject.ClassOf(err) != faultinject.Corruption {
-			t.Errorf("%s: fault class %v, want Corruption", name, faultinject.ClassOf(err))
-		}
 		if ce.Off != off {
 			t.Errorf("%s: error names offset %d, want frame %d's %d", name, ce.Off, mid, off)
 		}
 		if n != before {
 			t.Errorf("%s: dispatched %d records, want the %d of the frames before the damage", name, n, before)
+		}
+	}
+}
+
+// TestReplayCorruptFaultClass: CRC damage to the first, a middle or the
+// last data frame fails both replay entry points with an error the fault
+// taxonomy classes as Corruption, so a caller retries no damaged trace.
+func TestReplayCorruptFaultClass(t *testing.T) {
+	data := buildTrace(t, WriterOptions{FrameSize: 64}, manyRecords(600))
+	r, err := NewReader(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	noop := func(*pipeline.Record) {}
+	for _, frame := range []int{0, r.NumFrames() / 2, r.NumFrames() - 1} {
+		bad := append([]byte(nil), data...)
+		bad[r.frameOff[frame]+6] ^= 0xFF
+		rb, err := NewReader(bad)
+		if err != nil {
+			t.Fatalf("frame %d: NewReader: %v", frame, err)
+		}
+		for name, replay := range map[string]func() error{
+			"Replay":        func() error { return rb.Replay(noop) },
+			"ReplayContext": func() error { return rb.ReplayContext(context.Background(), noop) },
+		} {
+			err := replay()
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("frame %d %s: err = %v, want ErrCorrupt", frame, name, err)
+			}
+			if faultinject.ClassOf(err) != faultinject.Corruption {
+				t.Errorf("frame %d %s: fault class %v, want Corruption", frame, name, faultinject.ClassOf(err))
+			}
 		}
 	}
 }
