@@ -61,9 +61,9 @@ perfbench-smoke:
 
 # Short live-fuzz legs over the decoder no-panic contracts: the trace
 # reader must recover-or-refuse arbitrary bytes (the recovery scan, v3's
-# delta-coded entity ids, and the v2 surface — the Merkle footer, range
-# proofs, legacy checkpoint frames — seeded with v3 traces and the pinned
-# v2 and v3 golden traces), and the path-counter decoder must reject
+# delta-coded entity ids, and the v2 surface — the Merkle footer, the
+# range check, legacy checkpoint frames — seeded with v3 traces and the
+# pinned v2 and v3 golden traces), and the path-counter decoder must reject
 # arbitrary table/counter combinations without crashing or miscounting. The seed corpora also run
 # as plain fixtures in `make test`. The FuzzReplayV2 leg caps input
 # minimization at 100 runs: at the default 60 s, minimizing the first

@@ -357,8 +357,7 @@ func renderTraceDiff(td *trace.TraceDiff) string {
 	default:
 		fmt.Fprintf(&b, ", %d changed (%d records) in %d range(s)", td.ChangedFrames, td.ChangedRecords, len(td.ChangedRanges))
 	}
-	fmt.Fprintf(&b, "; %d hash comparisons, %d bytes read\n",
-		td.HashComparisons, td.BytesReadOld+td.BytesReadNew)
+	fmt.Fprintf(&b, "; %d bytes read\n", td.BytesReadOld+td.BytesReadNew)
 	for _, rg := range td.ChangedRanges {
 		fmt.Fprintf(&b, "    frames [%d,%d)\n", rg[0], rg[1])
 	}
@@ -508,7 +507,7 @@ func cmdVerify(args []string) {
 	fs := flag.NewFlagSet("algoprof verify", flag.ExitOnError)
 	pathdecode := fs.Bool("pathdecode", false, "treat the argument as an MJ program and cross-check paths-mode decode against events mode")
 	seed := fs.Uint64("seed", 1, "seed for the rand() builtin (with -pathdecode)")
-	frameRange := fs.String("range", "", "prove frames LO:HI of a trace file against its Merkle root, reading only the footer and that range")
+	frameRange := fs.String("range", "", "check frames LO:HI of a trace file against its Merkle root, reading only the footer and that range")
 	fs.Parse(args)
 
 	if fs.NArg() != 1 {
@@ -547,7 +546,7 @@ func cmdVerify(args []string) {
 	os.Exit(1)
 }
 
-// cmdVerifyRange proves one frame range of a trace file intact against the
+// cmdVerifyRange checks one frame range of a trace file intact against the
 // trace's Merkle root. The argument may be a trace file or a run directory
 // (then the run's trace is verified). HI may be omitted ("LO:") to mean the
 // end of the trace, and LO may be omitted (":HI") to mean the start.

@@ -49,6 +49,11 @@ func main() {
 	flag.StringVar(&traceOut, "trace-out", "",
 		"capture the compare section's combined pass as a trace file for offline replay")
 	flag.Parse()
+	if *jobs < 0 {
+		fmt.Fprintf(os.Stderr, "paper: bad -j %d: want 0 (GOMAXPROCS) or a positive worker count\n", *jobs)
+		flag.Usage()
+		os.Exit(2)
+	}
 	sweep = experiments.Sweep{MaxSize: *maxSize, Step: *step, Reps: *reps, Seed: *seed}
 	experiments.SetParallelism(*jobs)
 	if *deadline > 0 {

@@ -335,7 +335,7 @@ func (d *Dispatcher) Execute(ctx context.Context, spec service.ExecSpec, progres
 			d.logf("dispatch: job %s falling back to local execution: %v", spec.ID, lastErr)
 		}
 		fspec := spec
-		fspec.Config.Limits = clampLimits(spec.Config.Limits, d.cfg.FallbackLimits)
+		fspec.Config.Limits = service.ClampLimits(spec.Config.Limits, d.cfg.FallbackLimits)
 		out, err := d.cfg.Fallback.Execute(ctx, fspec, progress)
 		if out != nil {
 			out.Worker = WorkerLocal
@@ -531,25 +531,6 @@ func (d *Dispatcher) finishResult(w *workerState, spec service.ExecSpec, res *re
 		out.TraceBytes = 0
 	}
 	return out, nil
-}
-
-// clampLimits tightens cur by cap: every cap field that is set becomes an
-// upper bound on the corresponding limit (unlimited cur fields adopt the
-// cap). Mirrors the quota clamp — a fallback never loosens anything.
-func clampLimits(cur, cap algoprof.Limits) algoprof.Limits {
-	if cap.MaxEvents > 0 && (cur.MaxEvents == 0 || cur.MaxEvents > cap.MaxEvents) {
-		cur.MaxEvents = cap.MaxEvents
-	}
-	if cap.MaxLiveBytes > 0 && (cur.MaxLiveBytes == 0 || cur.MaxLiveBytes > cap.MaxLiveBytes) {
-		cur.MaxLiveBytes = cap.MaxLiveBytes
-	}
-	if cap.MaxTraceBytes > 0 && (cur.MaxTraceBytes == 0 || cur.MaxTraceBytes > cap.MaxTraceBytes) {
-		cur.MaxTraceBytes = cap.MaxTraceBytes
-	}
-	if cap.Deadline > 0 && (cur.Deadline == 0 || cur.Deadline > cap.Deadline) {
-		cur.Deadline = cap.Deadline
-	}
-	return cur
 }
 
 // sleepCtx sleeps for d or until ctx is done.

@@ -418,17 +418,17 @@ func TestDispatchIdempotentReingest(t *testing.T) {
 // TestClampLimits: fallback limits only ever tighten.
 func TestClampLimits(t *testing.T) {
 	cap := algoprof.Limits{MaxEvents: 100, MaxTraceBytes: 1000, Deadline: time.Second}
-	got := clampLimits(algoprof.Limits{MaxEvents: 500, MaxLiveBytes: 7}, cap)
+	got := service.ClampLimits(algoprof.Limits{MaxEvents: 500, MaxLiveBytes: 7}, cap)
 	want := algoprof.Limits{MaxEvents: 100, MaxLiveBytes: 7, MaxTraceBytes: 1000, Deadline: time.Second}
 	if got != want {
 		t.Fatalf("clamp = %+v, want %+v", got, want)
 	}
 	// No caps set: limits pass through.
-	if got := clampLimits(want, algoprof.Limits{}); got != want {
+	if got := service.ClampLimits(want, algoprof.Limits{}); got != want {
 		t.Fatalf("zero cap changed limits: %+v", got)
 	}
 	// A tighter request survives the clamp.
-	if got := clampLimits(algoprof.Limits{MaxEvents: 10}, cap); got.MaxEvents != 10 {
+	if got := service.ClampLimits(algoprof.Limits{MaxEvents: 10}, cap); got.MaxEvents != 10 {
 		t.Fatalf("clamp loosened MaxEvents to %d", got.MaxEvents)
 	}
 }

@@ -26,22 +26,6 @@ var (
 	ErrPoolFull = errors.New("experiments: pool queue full")
 )
 
-// JobPool is the execution surface the profiling daemon programs against:
-// bounded non-blocking intake plus drainable shutdown. Pool is the local
-// in-process implementation; the dispatch layer satisfies the same
-// contract when job execution happens on remote workers, so the daemon
-// does not care where its jobs run.
-type JobPool interface {
-	TrySubmit(fn func()) error
-	Shutdown(ctx context.Context) error
-	Done() <-chan struct{}
-	Workers() int
-	QueueCap() int
-	QueueLen() int
-}
-
-var _ JobPool = (*Pool)(nil)
-
 // Pool is a fixed-size worker pool over a bounded FIFO job queue. Jobs are
 // dispatched in submission order (the queue is a channel), so result
 // ordering is deterministic for callers that care — each job writes to its

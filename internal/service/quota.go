@@ -112,17 +112,36 @@ func (t *tenantState) admit(tenant string) error {
 // Service.mu.
 func (t *tenantState) clampLimits(lim algoprof.Limits) algoprof.Limits {
 	q := t.quota
-	lim.MaxEvents = minNonZero(lim.MaxEvents, q.MaxEventsPerJob)
+	lim = ClampLimits(lim, algoprof.Limits{MaxEvents: q.MaxEventsPerJob, Deadline: q.DeadlineCeiling})
+	var left algoprof.Limits
 	if q.EventBudget > 0 {
-		lim.MaxEvents = minNonZero(lim.MaxEvents, q.EventBudget-t.eventsUsed)
+		left.MaxEvents = q.EventBudget - t.eventsUsed
 	}
 	if q.TraceByteBudget > 0 {
-		lim.MaxTraceBytes = minNonZero64(lim.MaxTraceBytes, q.TraceByteBudget-t.traceUsed)
+		left.MaxTraceBytes = q.TraceByteBudget - t.traceUsed
 	}
-	if q.DeadlineCeiling > 0 && (lim.Deadline == 0 || lim.Deadline > q.DeadlineCeiling) {
-		lim.Deadline = q.DeadlineCeiling
+	return ClampLimits(lim, left)
+}
+
+// ClampLimits tightens cur by cap, field by field: every cap field that is
+// set bounds the corresponding limit, and an unlimited (zero) cur field
+// adopts the cap. A clamp never loosens a limit. The quota clamp and
+// dispatch's local fallback both use it.
+func ClampLimits(cur, cap algoprof.Limits) algoprof.Limits {
+	cur.MaxEvents = tighter(cur.MaxEvents, cap.MaxEvents)
+	cur.MaxLiveBytes = tighter(cur.MaxLiveBytes, cap.MaxLiveBytes)
+	cur.MaxTraceBytes = tighter(cur.MaxTraceBytes, cap.MaxTraceBytes)
+	cur.Deadline = tighter(cur.Deadline, cap.Deadline)
+	return cur
+}
+
+// tighter is the rule for one limit: zero means unlimited, and otherwise
+// the smaller value wins. A cap of zero or less sets no bound.
+func tighter[T ~uint64 | ~int64](cur, cap T) T {
+	if cap > 0 && (cur == 0 || cur > cap) {
+		return cap
 	}
-	return lim
+	return cur
 }
 
 // charge books a finished job's consumption against the budgets. Caller
@@ -130,31 +149,6 @@ func (t *tenantState) clampLimits(lim algoprof.Limits) algoprof.Limits {
 func (t *tenantState) charge(events uint64, traceBytes int64) {
 	t.eventsUsed += events
 	t.traceUsed += traceBytes
-}
-
-// minNonZero treats 0 as "unlimited" on both sides.
-func minNonZero(a, b uint64) uint64 {
-	switch {
-	case a == 0:
-		return b
-	case b == 0:
-		return a
-	case a < b:
-		return a
-	}
-	return b
-}
-
-func minNonZero64(a, b int64) int64 {
-	switch {
-	case a == 0:
-		return b
-	case b == 0:
-		return a
-	case a < b:
-		return a
-	}
-	return b
 }
 
 // tenants is the quota table: a default quota plus per-tenant overrides,

@@ -297,7 +297,7 @@ type job struct {
 type Service struct {
 	cfg     Config
 	store   *store.Store
-	pool    experiments.JobPool
+	pool    *experiments.Pool
 	exec    Executor
 	journal *store.Journal
 	plan    *faultinject.Plan

@@ -153,11 +153,11 @@ func TestPooledCompressorBytesIdentical(t *testing.T) {
 		t.Fatalf("compressed trace has %d frames, raw %d", rc.NumFrames(), rp.NumFrames())
 	}
 	for f := 0; f < rc.NumFrames(); f++ {
-		got, _, err := readFrame(first, rc.frameOff[f], nil)
+		got, _, err := readFrame(first, rc.ix.FrameOff[f], nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		payload, _, err := readFrame(plain, rp.frameOff[f], nil)
+		payload, _, err := readFrame(plain, rp.ix.FrameOff[f], nil)
 		if err != nil {
 			t.Fatal(err)
 		}

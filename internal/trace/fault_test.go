@@ -87,6 +87,28 @@ func TestCorruptErrorOffset(t *testing.T) {
 	if got := faultinject.ClassOf(err); got != faultinject.Corruption {
 		t.Errorf("ClassOf = %v, want corruption", got)
 	}
+
+	// The footer reads name file offsets too, though they read the index
+	// frame and a frame range into buffers of their own.
+	ix, err := OpenIndex(writeTempTrace(t, data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantOff := func(what string, err error, off int64) {
+		t.Helper()
+		if !errors.As(err, &ce) || ce.Off != off {
+			t.Errorf("%s: err = %v, want a *CorruptError at offset %d", what, err, off)
+		}
+	}
+	badIndex := append([]byte(nil), data...)
+	badIndex[ix.DataEnd+6] ^= 0xFF
+	_, err = OpenIndex(writeTempTrace(t, badIndex))
+	wantOff("OpenIndex", err, ix.DataEnd)
+	k := ix.Frames / 2
+	badFrame := append([]byte(nil), data...)
+	badFrame[ix.FrameOff[k]+6] ^= 0xFF
+	_, err = VerifyFileRange(writeTempTrace(t, badFrame), k-1, k+1)
+	wantOff("VerifyFileRange", err, ix.FrameOff[k])
 }
 
 // TestShortWriteTransient: a short write from the sink classifies as

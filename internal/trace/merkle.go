@@ -44,140 +44,25 @@ func nodeHash(left, right Hash) Hash {
 	return out
 }
 
-// buildLevels constructs the full Merkle tree bottom-up: levels[0] is the
-// leaves, each higher level pairs the one below, a lone last node promotes
-// unchanged, and the final level holds the single root. An empty leaf set
-// yields one level holding the zero hash (the root of an empty trace).
-func buildLevels(leaves []Hash) [][]Hash {
-	if len(leaves) == 0 {
-		return [][]Hash{{{}}}
-	}
-	levels := [][]Hash{leaves}
-	for cur := leaves; len(cur) > 1; {
-		next := make([]Hash, 0, (len(cur)+1)/2)
-		for i := 0; i < len(cur); i += 2 {
-			if i+1 < len(cur) {
-				next = append(next, nodeHash(cur[i], cur[i+1]))
-			} else {
-				next = append(next, cur[i])
-			}
-		}
-		levels = append(levels, next)
-		cur = next
-	}
-	return levels
-}
-
-// merkleRoot is the root of the tree over leaves (zero hash when empty).
+// merkleRoot is the root of the Merkle tree over leaves, built bottom-up:
+// each level pairs the nodes of the one below, a lone last node is
+// promoted unchanged, and the empty leaf set has the zero hash as its root
+// (the root of an empty trace). leaves is not modified.
 func merkleRoot(leaves []Hash) Hash {
-	levels := buildLevels(leaves)
-	return levels[len(levels)-1][0]
-}
-
-// RangeProof carries the sibling hashes needed to recompute the Merkle root
-// from the leaf hashes of frames [Lo, Hi) alone, without any other frame's
-// bytes. Siblings are ordered exactly as VerifyRangeProof consumes them:
-// per level bottom-up, left-edge sibling first, then right-edge sibling.
-type RangeProof struct {
-	// NumLeaves is the total leaf count of the tree the proof was built
-	// over; the verifier needs it to reproduce the tree shape.
-	NumLeaves int
-	// Lo and Hi bound the proven frame range, half-open.
-	Lo, Hi int
-	// Siblings are the edge hashes, in consumption order.
-	Siblings []Hash
-}
-
-// proveRange collects the sibling hashes for leaves [lo, hi) from a built
-// tree. The caller has validated the range.
-func proveRange(levels [][]Hash, lo, hi int) *RangeProof {
-	p := &RangeProof{NumLeaves: len(levels[0]), Lo: lo, Hi: hi}
-	if p.NumLeaves == 0 {
-		return p
+	if len(leaves) == 0 {
+		return Hash{}
 	}
-	count := p.NumLeaves
-	for level := 0; count > 1; level++ {
-		nodes := levels[level]
-		if lo%2 == 1 {
-			p.Siblings = append(p.Siblings, nodes[lo-1])
-			lo--
-		}
-		if (hi-1)%2 == 0 && hi < count {
-			p.Siblings = append(p.Siblings, nodes[hi])
-			hi++
-		}
-		lo, hi = lo/2, (hi+1)/2
-		count = (count + 1) / 2
-	}
-	return p
-}
-
-// VerifyRangeProof checks that leaves are the true leaf hashes of frames
-// [lo, hi) in the tree with the given root: it recombines them with the
-// proof's sibling hashes up to a root and compares. Any mismatch — wrong
-// leaf data, wrong range, tampered sibling — fails with a typed
-// *CorruptError.
-func VerifyRangeProof(root Hash, lo, hi int, leaves []Hash, p *RangeProof) error {
-	if p == nil {
-		return corruptf("merkle proof missing")
-	}
-	if lo != p.Lo || hi != p.Hi {
-		return corruptf("merkle proof covers [%d,%d), want [%d,%d)", p.Lo, p.Hi, lo, hi)
-	}
-	count := p.NumLeaves
-	if lo < 0 || hi > count || lo >= hi {
-		return corruptf("merkle range [%d,%d) out of bounds (0..%d)", lo, hi, count)
-	}
-	if len(leaves) != hi-lo {
-		return corruptf("merkle proof given %d leaves for range of %d", len(leaves), hi-lo)
-	}
-	window := append([]Hash(nil), leaves...)
-	sib := p.Siblings
-	take := func() (Hash, error) {
-		if len(sib) == 0 {
-			return Hash{}, corruptf("merkle proof too short")
-		}
-		h := sib[0]
-		sib = sib[1:]
-		return h, nil
-	}
-	for count > 1 {
-		if lo%2 == 1 {
-			h, err := take()
-			if err != nil {
-				return err
-			}
-			window = append([]Hash{h}, window...)
-			lo--
-		}
-		if (hi-1)%2 == 0 && hi < count {
-			h, err := take()
-			if err != nil {
-				return err
-			}
-			window = append(window, h)
-			hi++
-		}
-		// The window now starts even and ends even or at the level's last
-		// node, so it pairs cleanly; a lone trailing node (only at the
-		// level end) promotes.
-		next := window[:0]
-		for i := 0; i < len(window); i += 2 {
-			if i+1 < len(window) {
-				next = append(next, nodeHash(window[i], window[i+1]))
+	level := leaves
+	for len(level) > 1 {
+		next := make([]Hash, 0, (len(level)+1)/2)
+		for i := 0; i < len(level); i += 2 {
+			if i+1 < len(level) {
+				next = append(next, nodeHash(level[i], level[i+1]))
 			} else {
-				next = append(next, window[i])
+				next = append(next, level[i])
 			}
 		}
-		window = next
-		lo, hi = lo/2, (hi+1)/2
-		count = (count + 1) / 2
+		level = next
 	}
-	if len(sib) != 0 {
-		return corruptf("merkle proof has %d unused siblings", len(sib))
-	}
-	if len(window) != 1 || window[0] != root {
-		return corruptf("merkle root mismatch: proof yields %s, footer says %s", window[0], root)
-	}
-	return nil
+	return level[0]
 }

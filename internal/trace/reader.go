@@ -9,6 +9,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"slices"
 	"sync"
 
 	"algoprof/internal/events"
@@ -34,21 +35,14 @@ type Stats struct {
 
 // Reader decodes one trace file. Open validates the header, trailer, and
 // index eagerly; Replay then streams the records through a dispatch
-// function in recorded order. Traces from format v2 on also expose
-// integrity proofs via their Merkle footer.
+// function in recorded order.
 type Reader struct {
-	data     []byte // full file contents
-	flags    uint32
-	dataEnd  int64 // offset of the index frame (end of data frames)
-	stats    Stats
-	frameOff []int64
-	frameRec []uint64 // per-frame record counts from the index
-
-	// Format v2 footer state.
-	ckpts     []int  // legacy checkpoint frame indices, ascending
-	leaves    []Hash // one Merkle leaf per frame
-	root      Hash
-	hasMerkle bool
+	data []byte // full file contents
+	// ix is the trace's footer, as OpenIndex reads it. A trace recovered
+	// without its index has only the frames the recovery scan found:
+	// Frames, FrameOff and DataEnd, besides the header's fields.
+	ix        Index
+	truncated bool // opened through the recovery path
 }
 
 // Open reads and validates a trace file.
@@ -67,43 +61,14 @@ func Open(path string) (*Reader, error) {
 // the result is marked Stats().Truncated. Only a file whose header is
 // itself invalid is refused.
 func NewReader(data []byte) (*Reader, error) {
-	r, err := newStrictReader(data)
+	ix, err := readIndex(bytes.NewReader(data), int64(len(data)))
 	if err == nil {
-		return r, nil
+		return &Reader{data: data, ix: *ix}, nil
 	}
 	if rec, rerr := recoverReader(data); rerr == nil {
 		return rec, nil
 	}
 	return nil, err
-}
-
-func newStrictReader(data []byte) (*Reader, error) {
-	version, flags, err := checkHeader(data)
-	if err != nil {
-		return nil, err
-	}
-	if len(data) < headerSize+trailerSize {
-		return nil, corruptf("file too short (%d bytes)", len(data))
-	}
-	trailer := data[len(data)-trailerSize:]
-	if string(trailer[8:]) != TrailerMagic {
-		return nil, corruptf("bad trailer magic")
-	}
-	indexOff := binary.LittleEndian.Uint64(trailer[:8])
-	if indexOff < headerSize || indexOff > uint64(len(data)-trailerSize) {
-		return nil, corruptf("index offset %d out of range", indexOff)
-	}
-	r := &Reader{data: data, flags: flags, dataEnd: int64(indexOff)}
-	r.stats.Version = version
-	r.stats.Compressed = flags&FlagCompress != 0
-	idx, _, err := readFrame(data, int64(indexOff), nil)
-	if err != nil {
-		return nil, err
-	}
-	if err := r.parseIndex(idx); err != nil {
-		return nil, err
-	}
-	return r, nil
 }
 
 // checkHeader validates the fixed-size file header and returns the format
@@ -128,8 +93,8 @@ func checkHeader(data []byte) (uint32, uint32, error) {
 // frame is accepted only if its envelope parses and its CRC verifies, so
 // the scan stops exactly at the torn tail a crash left behind. If the last
 // scanned frame turns out to be the index (a complete file missing only
-// its trailer), the index's stats are restored; otherwise the frame list
-// itself is the recovered extent and the stream totals are unknown.
+// its trailer), the index is restored; otherwise the frame list itself is
+// the recovered extent and the stream totals are unknown.
 func recoverReader(data []byte) (*Reader, error) {
 	version, flags, err := checkHeader(data)
 	if err != nil {
@@ -147,23 +112,25 @@ func recoverReader(data []byte) (*Reader, error) {
 		offs = append(offs, off)
 		off = next
 	}
-	r := &Reader{data: data, flags: flags, dataEnd: off}
-	r.stats.Version = version
-	r.stats.Compressed = flags&FlagCompress != 0
-	r.stats.Truncated = true
+	r := &Reader{data: data, truncated: true, ix: Index{
+		Version:    version,
+		Compressed: flags&FlagCompress != 0,
+		Frames:     len(offs),
+		FrameOff:   offs,
+		DataEnd:    off,
+		FileSize:   int64(len(data)),
+	}}
 	if n := len(offs); n > 0 {
 		// A trace that died between index and trailer: the last frame
 		// parses as an index consistent with the frames before it.
 		if idx, _, err := readFrame(data, offs[n-1], nil); err == nil {
-			probe := &Reader{data: data, flags: flags, dataEnd: offs[n-1]}
-			probe.stats = r.stats
-			if probe.parseIndex(idx) == nil && sameOffsets(probe.frameOff, offs[:n-1]) {
-				return probe, nil
+			probe := r.ix
+			probe.DataEnd = offs[n-1]
+			if probe.parse(idx) == nil && slices.Equal(probe.FrameOff, offs[:n-1]) {
+				r.ix = probe
 			}
 		}
 	}
-	r.stats.Frames = len(offs)
-	r.frameOff = offs
 	return r, nil
 }
 
@@ -178,139 +145,34 @@ func frameErr(off int64, err error) error {
 	return err
 }
 
-func sameOffsets(a, b []int64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// indexData is a parsed index frame, shared by the full Reader and the
-// footer-only OpenIndex path.
-type indexData struct {
-	frameOff     []int64
-	frameRec     []uint64
-	records      uint64
-	finalClock   uint64
-	instructions uint64
-	ckpts        []int
-	leaves       []Hash
-	root         Hash
-	hasMerkle    bool
-}
-
-// parseIndexData decodes an index frame payload. dataEnd bounds the frame
-// offsets; version selects whether the v2 tail (checkpoints + Merkle
-// section) is required.
-func parseIndexData(idx []byte, version uint32, dataEnd int64) (*indexData, error) {
-	d := &indexData{}
-	nFrames, pos, err := readUint(idx, 0, 1<<32, "frame count")
-	if err != nil {
-		return nil, err
-	}
-	// A frame entry is two uvarints: its offset and its record count.
-	d.frameOff = make([]int64, 0, capFor(nFrames, idx, pos, 2))
-	d.frameRec = make([]uint64, 0, capFor(nFrames, idx, pos, 2))
-	for i := 0; i < nFrames; i++ {
-		var off uint64
-		off, pos, err = readUvarint(idx, pos)
-		if err != nil {
-			return nil, err
-		}
-		if off < headerSize || int64(off) >= dataEnd {
-			return nil, corruptf("frame %d offset %d out of range", i, off)
-		}
-		d.frameOff = append(d.frameOff, int64(off))
-		var recs uint64
-		if recs, pos, err = readUvarint(idx, pos); err != nil {
-			return nil, err
-		}
-		d.frameRec = append(d.frameRec, recs)
-	}
-	if d.records, pos, err = readUvarint(idx, pos); err != nil {
-		return nil, err
-	}
-	if d.finalClock, pos, err = readUvarint(idx, pos); err != nil {
-		return nil, err
-	}
-	if d.instructions, pos, err = readUvarint(idx, pos); err != nil {
-		return nil, err
-	}
-	if version == VersionV1 {
-		// v1 indexes end here; anything further would belong to a format
-		// this reader predates, so it is ignored, as the v1 reader did.
-		return d, nil
-	}
-	// Format v2 tail: checkpoint frame indices, one Merkle leaf per frame,
-	// and the tree root. The tail is mandatory from v2 on, and strictly
-	// sized.
-	nCkpts, pos, err := readUint(idx, pos, uint64(nFrames)+1, "checkpoint count")
-	if err != nil {
-		return nil, err
-	}
-	d.ckpts = make([]int, 0, capFor(nCkpts, idx, pos, 1))
-	for i := 0; i < nCkpts; i++ {
-		var c int
-		if c, pos, err = readUint(idx, pos, uint64(nFrames), "checkpoint frame index"); err != nil {
-			return nil, err
-		}
-		if i > 0 && c <= d.ckpts[i-1] {
-			return nil, corruptf("checkpoint frame indices not ascending (%d after %d)", c, d.ckpts[i-1])
-		}
-		d.ckpts = append(d.ckpts, c)
-	}
-	// The size check bounds the leaves by the payload before they are
-	// allocated.
-	need := (nFrames + 1) * HashSize
-	if len(idx)-pos != need {
-		return nil, corruptf("merkle section is %d bytes, want %d", len(idx)-pos, need)
-	}
-	d.leaves = make([]Hash, nFrames)
-	for i := range d.leaves {
-		copy(d.leaves[i][:], idx[pos:])
-		pos += HashSize
-	}
-	copy(d.root[:], idx[pos:])
-	d.hasMerkle = true
-	return d, nil
-}
-
-func (r *Reader) parseIndex(idx []byte) error {
-	d, err := parseIndexData(idx, r.stats.Version, r.dataEnd)
-	if err != nil {
-		return err
-	}
-	r.frameOff = d.frameOff
-	r.frameRec = d.frameRec
-	r.stats.Records = d.records
-	r.stats.FinalClock = d.finalClock
-	r.stats.Instructions = d.instructions
-	r.stats.Frames = len(d.frameOff)
-	r.ckpts = d.ckpts
-	r.leaves = d.leaves
-	r.root = d.root
-	r.hasMerkle = d.hasMerkle
-	return nil
-}
-
 // Stats returns the trace summary from the index.
-func (r *Reader) Stats() Stats { return r.stats }
+func (r *Reader) Stats() Stats {
+	return Stats{
+		Version:      r.ix.Version,
+		Compressed:   r.ix.Compressed,
+		Frames:       r.ix.Frames,
+		Records:      r.ix.Records,
+		FinalClock:   r.ix.FinalClock,
+		Instructions: r.ix.Instructions,
+		Truncated:    r.truncated,
+	}
+}
+
+// Index returns the trace's footer. Unless its index frame survived, a
+// recovered trace's footer lists only the frames the recovery scan found
+// and carries no Merkle root. The slices are the reader's own; callers
+// must not modify them.
+func (r *Reader) Index() *Index { return &r.ix }
 
 // NumFrames returns how many frames the trace holds (data and checkpoint
-// frames both count; frame indices given to ProveRange are positions in
-// this sequence).
-func (r *Reader) NumFrames() int { return len(r.frameOff) }
+// frames both count).
+func (r *Reader) NumFrames() int { return r.ix.Frames }
 
 // Checkpoints returns the frame indices of the trace's checkpoint frames,
 // ascending. Only v2 and v3 traces written before the writer stopped
 // emitting them list any; replay skips them.
 func (r *Reader) Checkpoints() []int {
-	return append([]int(nil), r.ckpts...)
+	return append([]int(nil), r.ix.Checkpoints...)
 }
 
 // readFrame decodes the frame envelope at off: payload length, CRC check,
@@ -400,8 +262,8 @@ type frameDecoder struct {
 // newDecoder returns a decoder for r's frames, holding a pooled inflater
 // when the trace is compressed. Return it with release.
 func (r *Reader) newDecoder() *frameDecoder {
-	d := &frameDecoder{delta: r.stats.Version >= Version}
-	if r.flags&FlagCompress != 0 {
+	d := &frameDecoder{delta: r.ix.Version >= Version}
+	if r.ix.Compressed {
 		d.z = inflaters.Get().(*inflater)
 	}
 	return d
@@ -439,13 +301,13 @@ func (r *Reader) ReplayContext(ctx context.Context, dispatch func(*pipeline.Reco
 	d := r.newDecoder()
 	defer d.release()
 	off := int64(headerSize)
-	for off < r.dataEnd {
+	for off < r.ix.DataEnd {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 		payload, next, err := readFrame(r.data, off, d.z)
 		if err != nil {
-			if r.stats.Truncated {
+			if r.truncated {
 				return nil
 			}
 			return err
@@ -456,7 +318,7 @@ func (r *Reader) ReplayContext(ctx context.Context, dispatch func(*pipeline.Reco
 			off = next
 			continue
 		}
-		if r.stats.Truncated {
+		if r.truncated {
 			if d.replayAtomic(payload, &heap, dispatch) != nil {
 				return nil
 			}

@@ -67,7 +67,7 @@ func TestWriterMaxBytes(t *testing.T) {
 	// Cap at a quarter of the data extent (not the file size: the v2 index
 	// carries one hash per frame, which at FrameSize 2 dwarfs the data).
 	var capped bytes.Buffer
-	tw = NewWriter(&capped, WriterOptions{FrameSize: 2, MaxBytes: fr.dataEnd / 4})
+	tw = NewWriter(&capped, WriterOptions{FrameSize: 2, MaxBytes: fr.ix.DataEnd / 4})
 	for i := 0; i < 200; i++ {
 		rec = pipeline.Record{Op: pipeline.OpMethodEntry, Clock: uint64(i + 1), ID: int32(i)}
 		tw.Record(&rec)

@@ -83,9 +83,9 @@ func TestReplayCorruptMidTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	mid := r.NumFrames() / 2
-	off := r.frameOff[mid]
+	off := r.ix.FrameOff[mid]
 	var before uint64
-	for _, n := range r.frameRec[:mid] {
+	for _, n := range r.ix.FrameRecords[:mid] {
 		before += n
 	}
 	payload, _, err := readFrame(data, off, nil)
@@ -134,7 +134,7 @@ func TestReplayCorruptFaultClass(t *testing.T) {
 	noop := func(*pipeline.Record) {}
 	for _, frame := range []int{0, r.NumFrames() / 2, r.NumFrames() - 1} {
 		bad := append([]byte(nil), data...)
-		bad[r.frameOff[frame]+6] ^= 0xFF
+		bad[r.ix.FrameOff[frame]+6] ^= 0xFF
 		rb, err := NewReader(bad)
 		if err != nil {
 			t.Fatalf("frame %d: NewReader: %v", frame, err)
@@ -175,7 +175,7 @@ func TestReplayCancel(t *testing.T) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	var end uint64
-	for _, c := range r.frameRec {
+	for _, c := range r.ix.FrameRecords {
 		if end += c; end >= stop {
 			break
 		}
@@ -254,14 +254,14 @@ func TestV2RoundTripStats(t *testing.T) {
 	if cks := r.Checkpoints(); len(cks) != 0 {
 		t.Fatalf("checkpoints = %v, want none", cks)
 	}
-	if !r.hasMerkle {
+	if !r.ix.HasMerkle {
 		t.Fatal("no merkle footer")
 	}
-	if r.root != tw.MerkleRoot() {
-		t.Fatalf("reader root %s != writer root %s", r.root, tw.MerkleRoot())
+	if r.ix.Root != tw.MerkleRoot() {
+		t.Fatalf("reader root %s != writer root %s", r.ix.Root, tw.MerkleRoot())
 	}
-	if got := merkleRoot(r.leaves); got != r.root {
-		t.Fatalf("footer leaves hash to %s, root says %s", got, r.root)
+	if got := merkleRoot(r.ix.Leaves); got != r.ix.Root {
+		t.Fatalf("footer leaves hash to %s, root says %s", got, r.ix.Root)
 	}
 }
 

@@ -56,8 +56,9 @@ func AuditStore(dir string) ([]Finding, error) {
 // AuditRun forensically audits one run directory: it must load the way
 // Replay loads it (the manifest parses, the program matches its recorded
 // hash and compiles, every trace decodes), truncation must be declared,
-// the verified replay must pass the invariant checker, and — for
-// non-degraded runs — the replayed results must equal the manifest's.
+// a Merkle root the manifest names must be the main trace's, the verified
+// replay must pass the invariant checker, and — for non-degraded runs —
+// the replayed results must equal the manifest's.
 // Each broken link is one finding; later checks that depend on it are
 // skipped.
 func AuditRun(runDir string) []Finding {
@@ -96,6 +97,15 @@ func (s *Store) audit(name string) []Finding {
 	for _, tid := range m.Threads {
 		if st.threads[tid].Stats().Truncated && !m.Degraded {
 			bad(faultinject.Corruption, "thread %d trace is truncated but the manifest does not declare a degraded run", tid)
+		}
+	}
+	// The fleet diff trusts a manifest's root to stand for its trace.
+	if want := m.TraceMerkleRoot; want != "" {
+		switch ix := st.main.Index(); {
+		case !ix.HasMerkle:
+			bad(faultinject.Corruption, "manifest names trace merkle root %s but the trace's footer carries none", want)
+		case ix.Root.String() != want:
+			bad(faultinject.Corruption, "manifest names trace merkle root %s but the trace's footer carries %s", want, ix.Root)
 		}
 	}
 

@@ -1,8 +1,10 @@
 package store
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"algoprof"
@@ -129,6 +131,58 @@ func TestAuditFlagsCorruption(t *testing.T) {
 				if f.Class == faultinject.Unknown {
 					t.Errorf("finding with unknown class: %v", f)
 				}
+			}
+		})
+	}
+}
+
+// TestAuditManifestRoot: a manifest whose trace_merkle_root is not its
+// trace's footer root — another root, or a trace whose footer carries
+// none — is exactly one Corruption finding. The fleet diff trusts that
+// root to stand for the trace.
+func TestAuditManifestRoot(t *testing.T) {
+	for name, damage := range map[string]func(t *testing.T, runDir string, m *Manifest){
+		"other-root": func(t *testing.T, runDir string, m *Manifest) {
+			m.TraceMerkleRoot = trace.Hash{}.String()
+		},
+		"no-footer": func(t *testing.T, runDir string, m *Manifest) {
+			// Cut the index frame and trailer off, the shape of a recording
+			// that crashed after its last data frame, and declare the run
+			// degraded, so that only the root is wrong.
+			path := filepath.Join(runDir, TraceName)
+			ix, err := trace.OpenIndex(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.Truncate(path, ix.DataEnd); err != nil {
+				t.Fatal(err)
+			}
+			m.Degraded = true
+			m.DegradedReasons = []string{interruptedReason}
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			runDir := recordCleanRun(t)
+			path := filepath.Join(runDir, ManifestName)
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var m Manifest
+			if err := json.Unmarshal(data, &m); err != nil {
+				t.Fatal(err)
+			}
+			if m.TraceMerkleRoot == "" {
+				t.Fatal("recorded manifest names no trace merkle root")
+			}
+			damage(t, runDir, &m)
+			if data, err = json.Marshal(&m); err != nil {
+				t.Fatal(err)
+			}
+			overwrite(t, path, data)
+			fs := AuditRun(runDir)
+			if len(fs) != 1 || fs[0].Class != faultinject.Corruption || !strings.Contains(fs[0].Msg, "merkle root") {
+				t.Fatalf("findings %v, want one Corruption finding about the merkle root", fs)
 			}
 		})
 	}

@@ -1,8 +1,8 @@
 // Fleet diff: one baseline run's trace compared against every other run in
 // the store, fanned out over the experiments worker pool. The per-pair work
-// is the Merkle differ (trace.DiffTraceFiles), so each comparison reads two
-// trace footers — or, when the manifests already carry matching Merkle
-// roots, nothing at all.
+// is trace.DiffTraceFiles, which compares the two trace footers' Merkle
+// leaves, so each comparison reads two footers — or, when the manifests
+// already carry matching Merkle roots, nothing at all.
 package store
 
 import (

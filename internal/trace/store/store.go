@@ -57,8 +57,8 @@ type Manifest struct {
 	FormatVersion int `json:"format_version"`
 	// TraceMerkleRoot is the hex Merkle root over the trace's frames (empty
 	// for v1 and interrupted traces, which carry no Merkle footer). The
-	// differ and fleet scan compare roots to skip identical traces without
-	// reading their frames.
+	// fleet diff compares roots to skip identical traces without reading
+	// them; AuditRun checks the root against the trace's footer.
 	TraceMerkleRoot string `json:"trace_merkle_root,omitempty"`
 	// CreatedUnix is the recording time (Unix seconds).
 	CreatedUnix int64 `json:"created_unix"`

@@ -4,10 +4,9 @@ import "os"
 
 // TraceDiff reports how two trace files differ at the frame level, and what
 // it cost to find out. With Merkle footers on both sides the differ reads
-// only the two footers and descends the trees, skipping identical subtrees —
-// O(changed frames + log n) hash comparisons, zero data-frame bytes read.
-// Without them (v1 traces, or mismatched frame counts) it falls back to a
-// full byte scan.
+// only the two footers and compares their leaf lists — zero data-frame
+// bytes read, whatever the two frame counts. A v1 trace on either side has
+// no leaves, and the diff falls back to a full byte scan.
 type TraceDiff struct {
 	// OldFrames and NewFrames are the two traces' frame counts.
 	OldFrames, NewFrames int
@@ -22,110 +21,67 @@ type TraceDiff struct {
 	// ChangedRecords counts the records those frames hold on the new side
 	// (from the footer's per-frame record counts — no frame reads needed).
 	ChangedRecords uint64
-	// HashComparisons counts Merkle node comparisons the descent made
-	// (FullScan diffs count frame-byte comparisons here instead).
-	HashComparisons int
-	// FullScan marks the fallback byte-compare path (v1 trace on either
-	// side, or frame counts differ so the trees are incomparable).
+	// FullScan marks the byte-compare path (a v1 trace on either side).
 	FullScan bool
 	// BytesReadOld and BytesReadNew count file bytes actually read per side.
 	BytesReadOld, BytesReadNew int64
 }
 
 // DiffTraceFiles compares the traces at oldPath and newPath frame by frame.
-// When both carry Merkle footers and agree on frame count, identical
-// subtrees are skipped wholesale: the diff reads the two footers and
-// nothing else, and the descent visits only the root-to-changed-leaf
-// spines. Truncated traces have no reachable footer and fail with the
-// reader's typed errors.
+// When both carry Merkle footers it reads the two footers and nothing
+// else: equal roots over equal frame counts mean identical traces, and
+// otherwise the leaf lists are compared over the common frames. Truncated
+// traces have no reachable footer and fail with the reader's typed errors.
 func DiffTraceFiles(oldPath, newPath string) (*TraceDiff, error) {
-	oldIx, err := OpenIndex(oldPath)
+	oldIx, newIx, d, err := openPair(oldPath, newPath)
 	if err != nil {
 		return nil, err
 	}
-	newIx, err := OpenIndex(newPath)
-	if err != nil {
-		return nil, err
+	if !oldIx.HasMerkle || !newIx.HasMerkle {
+		return d.fullScan(oldPath, newPath, oldIx, newIx)
 	}
-	d := &TraceDiff{
-		OldFrames:    oldIx.Frames,
-		NewFrames:    newIx.Frames,
-		BytesReadOld: oldIx.BytesRead,
-		BytesReadNew: newIx.BytesRead,
-	}
-	if oldIx.HasMerkle && newIx.HasMerkle && oldIx.Frames == newIx.Frames {
-		d.diffMerkle(oldIx, newIx)
+	d.BytesReadOld, d.BytesReadNew = oldIx.BytesRead, newIx.BytesRead
+	if oldIx.Frames == newIx.Frames && oldIx.Root == newIx.Root {
+		d.Identical = true
 		return d, nil
 	}
-	if err := d.diffFullScan(oldPath, newPath, oldIx, newIx); err != nil {
-		return nil, err
-	}
-	return d, nil
+	return d, d.compare(oldIx, newIx, func(i int) (bool, error) { return oldIx.Leaves[i] == newIx.Leaves[i], nil })
 }
 
 // DiffTraceFilesFull forces the full byte-scan path — what every diff would
 // cost without the Merkle footer — so benchmarks can price what the footer
 // saves. Results are equivalent to DiffTraceFiles up to the cost fields.
 func DiffTraceFilesFull(oldPath, newPath string) (*TraceDiff, error) {
-	oldIx, err := OpenIndex(oldPath)
+	oldIx, newIx, d, err := openPair(oldPath, newPath)
 	if err != nil {
 		return nil, err
 	}
-	newIx, err := OpenIndex(newPath)
-	if err != nil {
-		return nil, err
-	}
-	d := &TraceDiff{OldFrames: oldIx.Frames, NewFrames: newIx.Frames}
-	if err := d.diffFullScan(oldPath, newPath, oldIx, newIx); err != nil {
-		return nil, err
-	}
-	return d, nil
+	return d.fullScan(oldPath, newPath, oldIx, newIx)
 }
 
-// diffMerkle descends the two Merkle trees from the roots, pruning every
-// subtree whose hashes agree. Equal leaf counts give the trees identical
-// shape, so node (level, idx) on both sides covers the same frame range.
-func (d *TraceDiff) diffMerkle(oldIx, newIx *Index) {
-	if oldIx.Root == newIx.Root {
-		d.HashComparisons = 1
-		d.Identical = true
-		return
+// openPair reads both traces' footers and starts their diff.
+func openPair(oldPath, newPath string) (oldIx, newIx *Index, d *TraceDiff, err error) {
+	if oldIx, err = OpenIndex(oldPath); err != nil {
+		return nil, nil, nil, err
 	}
-	a := buildLevels(oldIx.Leaves)
-	b := buildLevels(newIx.Leaves)
-	var walk func(level, idx int)
-	walk = func(level, idx int) {
-		d.HashComparisons++
-		if a[level][idx] == b[level][idx] {
-			return
-		}
-		if level == 0 {
-			d.appendChanged(idx, idx+1)
-			return
-		}
-		lo := idx * 2
-		walk(level-1, lo)
-		if lo+1 < len(a[level-1]) {
-			walk(level-1, lo+1)
-		}
+	if newIx, err = OpenIndex(newPath); err != nil {
+		return nil, nil, nil, err
 	}
-	walk(len(a)-1, 0)
-	d.finish(newIx)
+	return oldIx, newIx, &TraceDiff{OldFrames: oldIx.Frames, NewFrames: newIx.Frames}, nil
 }
 
-// diffFullScan is the slow path: read both files and compare every common
+// fullScan is the slow path: read both files and compare every common
 // frame's stored bytes (envelope included — equal stored bytes is exactly
-// the Merkle leaves' notion of equality). Runs for v1 traces, which have
-// frame offsets in their index but no hashes, and for mismatched frame
-// counts, where the trees' shapes diverge.
-func (d *TraceDiff) diffFullScan(oldPath, newPath string, oldIx, newIx *Index) error {
+// the Merkle leaves' notion of equality). It runs for v1 traces, which
+// have frame offsets in their index but no hashes.
+func (d *TraceDiff) fullScan(oldPath, newPath string, oldIx, newIx *Index) (*TraceDiff, error) {
 	oldData, err := os.ReadFile(oldPath)
 	if err != nil {
-		return &IOError{Op: "read", Off: 0, Err: err}
+		return nil, &IOError{Op: "read", Off: 0, Err: err}
 	}
 	newData, err := os.ReadFile(newPath)
 	if err != nil {
-		return &IOError{Op: "read", Off: 0, Err: err}
+		return nil, &IOError{Op: "read", Off: 0, Err: err}
 	}
 	d.FullScan = true
 	d.BytesReadOld = int64(len(oldData))
@@ -141,18 +97,34 @@ func (d *TraceDiff) diffFullScan(oldPath, newPath string, oldIx, newIx *Index) e
 		}
 		return data[lo:hi], nil
 	}
-	common := min(oldIx.Frames, newIx.Frames)
-	for i := 0; i < common; i++ {
+	err = d.compare(oldIx, newIx, func(i int) (bool, error) {
 		ob, err := frameBytes(oldIx, oldData, i)
 		if err != nil {
-			return err
+			return false, err
 		}
 		nb, err := frameBytes(newIx, newData, i)
 		if err != nil {
+			return false, err
+		}
+		return string(ob) == string(nb), nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return d, nil
+}
+
+// compare marks every common frame i for which same(i) reports false as
+// changed, then the frames past the shorter trace's end, and derives the
+// summary counters from the changed ranges.
+func (d *TraceDiff) compare(oldIx, newIx *Index, same func(i int) (bool, error)) error {
+	common := min(oldIx.Frames, newIx.Frames)
+	for i := 0; i < common; i++ {
+		eq, err := same(i)
+		if err != nil {
 			return err
 		}
-		d.HashComparisons++
-		if string(ob) != string(nb) {
+		if !eq {
 			d.appendChanged(i, i+1)
 		}
 	}
@@ -160,28 +132,21 @@ func (d *TraceDiff) diffFullScan(oldPath, newPath string, oldIx, newIx *Index) e
 		d.appendChanged(common, max(oldIx.Frames, newIx.Frames))
 	}
 	d.Identical = len(d.ChangedRanges) == 0
-	d.finish(newIx)
-	return nil
-}
-
-// appendChanged records frames [lo, hi) as changed, coalescing with the
-// previous range when adjacent (the descent and the scan both emit
-// ascending indices).
-func (d *TraceDiff) appendChanged(lo, hi int) {
-	if n := len(d.ChangedRanges); n > 0 && d.ChangedRanges[n-1][1] == lo {
-		d.ChangedRanges[n-1][1] = hi
-		return
-	}
-	d.ChangedRanges = append(d.ChangedRanges, [2]int{lo, hi})
-}
-
-// finish derives the summary counters from ChangedRanges.
-func (d *TraceDiff) finish(newIx *Index) {
-	d.Identical = len(d.ChangedRanges) == 0
 	for _, rg := range d.ChangedRanges {
 		d.ChangedFrames += rg[1] - rg[0]
 		for f := rg[0]; f < rg[1] && f < len(newIx.FrameRecords); f++ {
 			d.ChangedRecords += newIx.FrameRecords[f]
 		}
 	}
+	return nil
+}
+
+// appendChanged records frames [lo, hi) as changed, coalescing with the
+// previous range when adjacent (frames are compared in ascending order).
+func (d *TraceDiff) appendChanged(lo, hi int) {
+	if n := len(d.ChangedRanges); n > 0 && d.ChangedRanges[n-1][1] == lo {
+		d.ChangedRanges[n-1][1] = hi
+		return
+	}
+	d.ChangedRanges = append(d.ChangedRanges, [2]int{lo, hi})
 }
