@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt build test vet race bench bench-smoke perfbench-smoke fuzz-smoke chaos-smoke service-smoke bench-service bench-dispatch paper
+.PHONY: check fmt build test vet race bench bench-smoke perfbench-smoke fuzz-smoke chaos-smoke service-smoke paper
 
 # The tier-1 gate plus formatting and the concurrency-sensitive packages
 # under the race detector. Run before committing.
@@ -36,18 +36,33 @@ race:
 	$(GO) vet ./...
 	$(GO) test -race . ./internal/events/... ./internal/core ./internal/vm ./internal/experiments/... ./internal/trace/... ./internal/service ./internal/dispatch ./internal/chaos ./probe
 
-# Regenerate the machine-readable perf baselines (use -j 1 timings):
-# BENCH_overhead.json (instrumentation overhead + memo ablation),
-# BENCH_pipeline.json (event-transport configurations), and
-# BENCH_replay.json (sequential trace and profile replay + Merkle diff).
+# Regenerate the five committed perf baselines from one build of the
+# committed tree (`go build` stamps the commit into each file's header;
+# `go run` would not): BENCH_overhead.json (instrumentation overhead +
+# memo ablation), BENCH_pipeline.json (event-transport configurations) and
+# BENCH_replay.json (sequential trace and profile replay + Merkle diff),
+# timed at -j 1; BENCH_dispatch.json (crash-0/1/2 legs through the
+# distributed dispatch stack); and BENCH_service.json (a real daemon on a
+# local port hammered with 1000 concurrent jobs across 4 tenants). Both
+# daemon benchmarks gate on zero lost jobs and zero untyped failures. The
+# binaries and the daemon's store live in a temporary directory that the
+# shell's EXIT trap removes.
 bench:
-	$(GO) run ./cmd/paper -j 1 bench -out BENCH_overhead.json -pipeline-out BENCH_pipeline.json -replay-out BENCH_replay.json
+	dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+	$(GO) build -o "$$dir/paper" ./cmd/paper && \
+	$(GO) build -o "$$dir/algoprofd" ./cmd/algoprofd && \
+	"$$dir/paper" -j 1 bench -out BENCH_overhead.json -pipeline-out BENCH_pipeline.json -replay-out BENCH_replay.json && \
+	"$$dir/algoprofd" distbench -out BENCH_dispatch.json -check || exit $$?; \
+	"$$dir/algoprofd" serve -addr 127.0.0.1:7171 -store "$$dir/store" & \
+	APD=$$!; sleep 1; \
+	"$$dir/algoprofd" loadgen -addr http://127.0.0.1:7171 -jobs 1000 -c 64 -tenants 4 -out BENCH_service.json -check; \
+	RC=$$?; kill -TERM $$APD; wait $$APD 2>/dev/null; exit $$RC
 
 # One-iteration pass over every Go micro-benchmark — a fast compile-and-run
 # sanity check that the benchmarks themselves still work — followed by the
 # regression gate on the profiler's own cost: fail when the median
-# per-round events-mode over paths-mode time exceeds the recorded
-# BENCH_overhead.json baseline by more than 7%.
+# per-round events-mode over paths-mode time exceeds the events_over_paths
+# median recorded in BENCH_overhead.json by more than 7%.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime=1x ./...
 	$(GO) run ./cmd/paper -j 1 bench -check
@@ -102,25 +117,6 @@ service-smoke:
 	dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
 	$(GO) run ./cmd/algoprofd smoke -jobs 60 && \
 	$(GO) run ./cmd/algoprofd distbench -jobs 12 -out "$$dir/BENCH_dispatch_smoke.json" -check
-
-# Regenerate the committed BENCH_service.json baseline: a real daemon on a
-# local port hammered with 1000 concurrent jobs across 4 tenants. Its
-# binary and store live in a temporary directory that the shell's EXIT
-# trap removes.
-bench-service:
-	dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
-	$(GO) build -o "$$dir/algoprofd" ./cmd/algoprofd || exit $$?; \
-	"$$dir/algoprofd" serve -addr 127.0.0.1:7171 -store "$$dir/store" & \
-	APD=$$!; sleep 1; \
-	"$$dir/algoprofd" loadgen -addr http://127.0.0.1:7171 -jobs 1000 -c 64 -tenants 4 -out BENCH_service.json -check; \
-	RC=$$?; kill -TERM $$APD; wait $$APD 2>/dev/null; exit $$RC
-
-# Regenerate the committed BENCH_dispatch.json baseline: a crash-0/1/2
-# leg each pushing a batch through the distributed dispatch stack while
-# that many workers die abruptly mid-batch. The -check gate requires
-# zero lost jobs and zero untyped failures in every leg.
-bench-dispatch:
-	$(GO) run ./cmd/algoprofd distbench -out BENCH_dispatch.json -check
 
 # Regenerate every table and figure of the paper.
 paper:

@@ -169,19 +169,19 @@ func BenchmarkParadigm(b *testing.B) {
 // BenchmarkOverhead regenerates the §5 overhead observation: profiling
 // multiplies execution cost.
 func BenchmarkOverhead(b *testing.B) {
-	var res *experiments.OverheadResult
+	var res *experiments.ModeOverheadResult
 	var err error
 	for i := 0; i < b.N; i++ {
-		res, err = experiments.Overhead(sweep, func() int64 { return time.Now().UnixNano() })
+		res, err = experiments.ModeOverhead(sweep, func() int64 { return time.Now().UnixNano() })
 		if err != nil {
 			b.Fatal(err)
 		}
 	}
-	if res.Slowdown() < 1 {
-		b.Fatalf("slowdown %.2f", res.Slowdown())
+	if res.EventsSlowdown.Median < 1 {
+		b.Fatalf("slowdown %.2f", res.EventsSlowdown.Median)
 	}
-	b.ReportMetric(res.Slowdown(), "slowdown-x")
-	b.ReportMetric(float64(res.ProfiledInstrs)/float64(res.PlainInstrs), "instr-x")
+	b.ReportMetric(res.EventsSlowdown.Median, "slowdown-x")
+	b.ReportMetric(float64(res.EventsInstrs)/float64(res.PlainInstrs), "instr-x")
 }
 
 // BenchmarkGoldsmith regenerates the FSE'07 baseline comparison: the

@@ -24,11 +24,11 @@
 // profiles come back as degraded results, queued jobs fail typed. No job
 // is ever silently dropped.
 //
-// loadgen hammers a running daemon and writes throughput, latency
-// percentiles, queue depth, and the terminal-status accounting to a
-// BENCH_service.json; -check additionally gates the run on the structural
-// invariants (0 lost jobs, all failures typed) and, off single-core
-// runners, on throughput against -baseline.
+// loadgen hammers a running daemon and writes throughput, the latency
+// median, quartiles and tail percentiles, queue depth, and the
+// terminal-status accounting to a BENCH_service.json; -check additionally
+// gates the run on the structural invariants (0 lost jobs, all failures
+// typed) and, off single-core runners, on throughput against -baseline.
 //
 // smoke is the CI entry point: it boots an in-process daemon on an
 // ephemeral port, runs one end-to-end job (submit → stream → verify the
@@ -43,8 +43,9 @@
 //
 // distbench benchmarks the dispatch layer: an in-process daemon plus a
 // worker fleet push a job batch through three legs — 0, 1, and 2 abrupt
-// worker crashes mid-batch — and write throughput, latency percentiles,
-// and the retry/revocation/fallback counters to BENCH_dispatch.json.
+// worker crashes mid-batch — and write throughput, the latency median and
+// quartiles, and the retry/revocation/fallback counters to
+// BENCH_dispatch.json.
 // -check gates on the distributed invariant: zero lost jobs, all failures
 // typed, in every leg.
 package main
@@ -67,9 +68,9 @@ import (
 	"time"
 
 	"algoprof"
+	"algoprof/internal/benchfile"
 	"algoprof/internal/dispatch"
 	"algoprof/internal/service"
-	"algoprof/internal/trace"
 	"algoprof/internal/trace/store"
 	"algoprof/internal/workloads"
 )
@@ -222,11 +223,8 @@ func cmdWorker(args []string) {
 // dispatchBench is the BENCH_dispatch.json shape: provenance header plus
 // the per-leg crash benchmark.
 type dispatchBench struct {
-	GeneratedUnix      int64 `json:"generated_unix"`
-	GoMaxProcs         int   `json:"gomaxprocs"`
-	TraceFormatVersion int   `json:"trace_format_version"`
-
-	Dispatch dispatch.BenchReport `json:"dispatch"`
+	benchfile.Header
+	Dispatch *dispatch.BenchReport `json:"dispatch"`
 }
 
 // cmdDistbench runs the worker-crash benchmark legs and writes
@@ -256,23 +254,13 @@ func cmdDistbench(args []string) {
 		fatal(err)
 	}
 	for _, leg := range rep.Legs {
-		fmt.Printf("distbench %s: %.1f jobs/s, p50=%.1fms p95=%.1fms, %d ok/%d degraded/%d failed/%d lost, %d retries, %d revocations, %d quarantines, %d fallbacks\n",
-			leg.Name, leg.ThroughputJobsPerSec, leg.P50LatencyMs, leg.P95LatencyMs,
+		fmt.Printf("distbench %s: %.1f jobs/s, latency median %.1fms (quartiles %.1f–%.1f), %d ok/%d degraded/%d failed/%d lost, %d retries, %d revocations, %d quarantines, %d fallbacks\n",
+			leg.Name, leg.JobsPerSec, leg.LatencyMs.Median, leg.LatencyMs.Q1, leg.LatencyMs.Q3,
 			leg.OK, leg.Degraded, leg.Failed, leg.Lost,
 			leg.Retries, leg.LeaseRevocations, leg.Quarantines, leg.Fallbacks)
 	}
 	if *out != "" {
-		bench := dispatchBench{
-			GeneratedUnix:      time.Now().Unix(),
-			GoMaxProcs:         runtime.GOMAXPROCS(0),
-			TraceFormatVersion: trace.Version,
-			Dispatch:           *rep,
-		}
-		data, err := json.MarshalIndent(bench, "", "  ")
-		if err != nil {
-			fatal(err)
-		}
-		if err := os.WriteFile(*out, append(data, '\n'), 0o644); err != nil {
+		if err := benchfile.Write(*out, &dispatchBench{Dispatch: rep}); err != nil {
 			fatal(err)
 		}
 	}
@@ -284,13 +272,10 @@ func cmdDistbench(args []string) {
 	}
 }
 
-// serviceBench is the BENCH_service.json shape: the repo-wide provenance
-// header plus the load report.
+// serviceBench is the BENCH_service.json shape: provenance header plus
+// the load report.
 type serviceBench struct {
-	GeneratedUnix      int64 `json:"generated_unix"`
-	GoMaxProcs         int   `json:"gomaxprocs"`
-	TraceFormatVersion int   `json:"trace_format_version"`
-
+	benchfile.Header
 	Load service.LoadReport `json:"load"`
 }
 
@@ -309,9 +294,17 @@ func cmdLoadgen(args []string) {
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Printf("loadgen: %d jobs in %dms (%.1f jobs/s): %d ok, %d degraded, %d failed, %d lost; p50=%.1fms p95=%.1fms p99=%.1fms maxqueue=%d\n",
-		rep.Jobs, rep.WallMs, rep.JobsPerSec, rep.OK, rep.Degraded, rep.Failed, rep.Lost,
-		rep.LatencyP50Ms, rep.LatencyP95Ms, rep.LatencyP99Ms, rep.MaxQueueDepth)
+	l := rep.LatencyMs
+	var tails string
+	if l.P95 != 0 {
+		tails += fmt.Sprintf(" p95=%.1fms", l.P95)
+	}
+	if l.P99 != 0 {
+		tails += fmt.Sprintf(" p99=%.1fms", l.P99)
+	}
+	fmt.Printf("loadgen: %d jobs (%.1f jobs/s): %d ok, %d degraded, %d failed, %d lost; latency median %.1fms (quartiles %.1f–%.1f)%s maxqueue=%d\n",
+		rep.Jobs, rep.JobsPerSec, rep.OK, rep.Degraded, rep.Failed, rep.Lost,
+		l.Median, l.Q1, l.Q3, tails, rep.MaxQueueDepth)
 
 	if *check {
 		var baseline *service.LoadReport
@@ -333,8 +326,8 @@ func cmdLoadgen(args []string) {
 	}
 }
 
-// runLoadgen runs the load, stamps the report, and writes the bench file
-// ("" skips the write).
+// runLoadgen runs the load and writes the bench file ("" skips the
+// write).
 func runLoadgen(addr string, jobs, conc, tenants int, out string, logf func(string, ...any)) (*service.LoadReport, error) {
 	rep, err := service.RunLoad(context.Background(), service.LoadConfig{
 		Addr:        strings.TrimRight(addr, "/"),
@@ -346,20 +339,8 @@ func runLoadgen(addr string, jobs, conc, tenants int, out string, logf func(stri
 	if err != nil {
 		return nil, err
 	}
-	rep.GeneratedUnix = time.Now().Unix()
-	rep.GoMaxProcs = runtime.GOMAXPROCS(0)
 	if out != "" {
-		bench := serviceBench{
-			GeneratedUnix:      rep.GeneratedUnix,
-			GoMaxProcs:         rep.GoMaxProcs,
-			TraceFormatVersion: trace.Version,
-			Load:               *rep,
-		}
-		data, err := json.MarshalIndent(bench, "", "  ")
-		if err != nil {
-			return nil, err
-		}
-		if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
+		if err := benchfile.Write(out, &serviceBench{Load: *rep}); err != nil {
 			return nil, err
 		}
 	}

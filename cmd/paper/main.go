@@ -5,13 +5,16 @@
 //
 //	paper [-j N] [fig1|fig2|fig3|table1|fig4|fig5|paradigm|listing3|listing4|listing5|overhead|goldsmith|ablations|crossover|compare|all]
 //	paper bench [-out BENCH_overhead.json] [-pipeline-out BENCH_pipeline.json]
+//	            [-replay-out BENCH_replay.json] [-check]
 //
 // -j bounds the worker pool used for sweep points and, under "all", for
 // whole sections; output ordering is deterministic for every -j. The
 // bench subcommand writes machine-readable overhead/sweep timings
-// (including the snapshot-memoization ablation) for perf tracking, plus
-// the event-transport benchmark (three dedicated passes vs one fan-out
-// pass, across workload sizes).
+// (including the snapshot-memoization ablation) for perf tracking, the
+// event-transport benchmark (three dedicated passes vs one fan-out pass,
+// across workload sizes) and the replay/diff benchmark, each a
+// benchfile-shaped BENCH_*.json; -check gates the profiler's own cost
+// against BENCH_overhead.json instead.
 package main
 
 import (
@@ -22,11 +25,11 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"sync"
 	"time"
 
 	"algoprof"
+	"algoprof/internal/benchfile"
 	"algoprof/internal/experiments"
 	"algoprof/internal/mj/compiler"
 	"algoprof/internal/trace"
@@ -258,39 +261,35 @@ func listing5(w io.Writer) error {
 
 func overhead(w io.Writer) error {
 	header(w, "§5: profiling overhead")
-	res, err := experiments.Overhead(sweep, func() int64 { return time.Now().UnixNano() })
+	now := func() int64 { return time.Now().UnixNano() }
+	mv, err := experiments.ModeOverhead(sweep, now)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(w, "plain run:    %12d instructions  %10.2fms\n",
-		res.PlainInstrs, float64(res.PlainNs)/1e6)
+		mv.PlainInstrs, mv.PlainNs.Median/1e6)
 	fmt.Fprintf(w, "profiled run: %12d instructions  %10.2fms\n",
-		res.ProfiledInstrs, float64(res.ProfiledNs)/1e6)
-	fmt.Fprintf(w, "slowdown: %.1fx\n", res.Slowdown())
+		mv.EventsInstrs, mv.EventsNs.Median/1e6)
+	fmt.Fprintf(w, "slowdown: %.1fx\n", mv.EventsSlowdown.Median)
 
 	fmt.Fprintln(w, "\nslowdown by input size (without memoization, snapshots cost O(size) per invocation):")
-	pts, err := experiments.OverheadSweep([]int{16, 64, 256}, sweep.Seed,
-		func() int64 { return time.Now().UnixNano() })
+	pts, err := experiments.OverheadSweep([]int{16, 64, 256}, sweep.Seed, now)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintln(w, "         memoized   no-memo")
 	for _, p := range pts {
-		fmt.Fprintf(w, "  n=%-5d %6.1fx  %6.1fx\n", p.Size, p.Slowdown(), p.NoMemoSlowdown())
+		fmt.Fprintf(w, "  n=%-5d %6.1fx  %6.1fx\n", p.Size, p.Slowdown.Median, p.NoMemoSlowdown.Median)
 	}
 
 	fmt.Fprintln(w, "\nslowdown by profiling mode (path counters replace per-access/per-iteration events):")
-	mv, err := experiments.ModeOverhead(sweep, func() int64 { return time.Now().UnixNano() })
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "  plain:  %12d instructions  %10.2fms\n", mv.PlainInstrs, float64(mv.PlainNs)/1e6)
+	fmt.Fprintf(w, "  plain:  %12d instructions  %10.2fms\n", mv.PlainInstrs, mv.PlainNs.Median/1e6)
 	fmt.Fprintf(w, "  events: %12d instructions  %10.2fms  %5.2fx\n",
-		mv.EventsInstrs, float64(mv.EventsNs)/1e6, mv.EventsSlowdown())
+		mv.EventsInstrs, mv.EventsNs.Median/1e6, mv.EventsSlowdown.Median)
 	fmt.Fprintf(w, "  paths:  %12d instructions  %10.2fms  %5.2fx\n",
-		mv.PathsInstrs, float64(mv.PathsNs)/1e6, mv.PathsSlowdown())
+		mv.PathsInstrs, mv.PathsNs.Median/1e6, mv.PathsSlowdown.Median)
 	fmt.Fprintf(w, "  events/paths per round: median %.2fx (quartiles %.2f–%.2f)\n",
-		mv.EventsOverPaths[1], mv.EventsOverPaths[0], mv.EventsOverPaths[2])
+		mv.EventsOverPaths.Median, mv.EventsOverPaths.Q1, mv.EventsOverPaths.Q3)
 	return nil
 }
 
@@ -320,8 +319,8 @@ func ablations(w io.Writer) error {
 		return err
 	}
 	fmt.Fprintf(w, "\ninput identification on a 400-node construction:\n")
-	fmt.Fprintf(w, "  deferred (paper's optimization): %8.2fms\n", float64(id.DeferredNs)/1e6)
-	fmt.Fprintf(w, "  eager (snapshot per access):     %8.2fms\n", float64(id.EagerNs)/1e6)
+	fmt.Fprintf(w, "  deferred (paper's optimization): %8.2fms\n", id.DeferredNs.Median/1e6)
+	fmt.Fprintf(w, "  eager (snapshot per access):     %8.2fms\n", id.EagerNs.Median/1e6)
 	fmt.Fprintf(w, "  same results: %v\n", id.SameInputs)
 	return nil
 }
@@ -400,101 +399,33 @@ func captureTrace(w io.Writer) error {
 	return nil
 }
 
-// benchHeader is the provenance header shared by every BENCH_*.json
-// writer: generation time, the actual GOMAXPROCS of the run, and the trace
-// format version the build writes, recorded once and the same way
-// everywhere.
-type benchHeader struct {
-	GeneratedUnix      int64 `json:"generated_unix"`
-	GoMaxProcs         int   `json:"go_maxprocs"`
-	TraceFormatVersion int   `json:"trace_format_version"`
+// overheadReport is BENCH_overhead.json: the per-mode overhead on the
+// running example (the §5 measurement, and the events/paths ratio bench
+// -check gates on) and the snapshot-memoization ablation sweep.
+type overheadReport struct {
+	benchfile.Header
+	Parallelism int                             `json:"parallelism"`
+	Sweep       experiments.Sweep               `json:"sweep"`
+	Modes       *experiments.ModeOverheadResult `json:"mode_overhead"`
+	Points      []experiments.OverheadPoint     `json:"overhead_sweep"`
 }
 
-func newBenchHeader() benchHeader {
-	return benchHeader{
-		GeneratedUnix:      time.Now().Unix(),
-		GoMaxProcs:         runtime.GOMAXPROCS(0),
-		TraceFormatVersion: trace.Version,
-	}
-}
-
-// benchModes is the per-mode overhead section of BENCH_overhead.json: the
-// slowdown trajectory events → paths the path-counter mode exists for, and
-// the per-round events-over-paths quartiles bench -check gates on.
-type benchModes struct {
-	PlainNs           int64   `json:"plain_ns"`
-	EventsNs          int64   `json:"events_ns"`
-	PathsNs           int64   `json:"paths_ns"`
-	PlainInstrs       uint64  `json:"plain_instrs"`
-	EventsInstrs      uint64  `json:"events_instrs"`
-	PathsInstrs       uint64  `json:"paths_instrs"`
-	EventsSlowdown    float64 `json:"events_slowdown"`
-	PathsSlowdown     float64 `json:"paths_slowdown"`
-	EventsOverPathsQ1 float64 `json:"events_over_paths_q1"`
-	EventsOverPaths   float64 `json:"events_over_paths"`
-	EventsOverPathsQ3 float64 `json:"events_over_paths_q3"`
-}
-
-// benchReport is the machine-readable perf baseline written by the bench
-// subcommand — the trajectory file future changes compare against.
-type benchReport struct {
-	benchHeader
-	Parallelism int `json:"parallelism"`
-	Sweep       struct {
-		MaxSize int    `json:"max_size"`
-		Step    int    `json:"step"`
-		Reps    int    `json:"reps"`
-		Seed    uint64 `json:"seed"`
-	} `json:"sweep"`
-	Overhead struct {
-		PlainInstrs    uint64  `json:"plain_instrs"`
-		ProfiledInstrs uint64  `json:"profiled_instrs"`
-		PlainNs        int64   `json:"plain_ns"`
-		ProfiledNs     int64   `json:"profiled_ns"`
-		Slowdown       float64 `json:"slowdown"`
-	} `json:"overhead"`
-	Modes  benchModes   `json:"mode_overhead"`
-	Points []benchPoint `json:"overhead_sweep"`
-}
-
-type benchPoint struct {
-	Size           int     `json:"size"`
-	PlainNs        int64   `json:"plain_ns"`
-	ProfiledNs     int64   `json:"profiled_ns"`
-	NoMemoNs       int64   `json:"no_memo_ns"`
-	Slowdown       float64 `json:"slowdown"`
-	NoMemoSlowdown float64 `json:"no_memo_slowdown"`
-	MemoSpeedup    float64 `json:"memo_speedup"`
-}
-
-// pipelineReport is the machine-readable transport benchmark written to
-// BENCH_pipeline.json: three dedicated passes vs one fan-out pass, and the
-// core profiled alone, across workload sizes.
+// pipelineReport is BENCH_pipeline.json: three dedicated passes vs one
+// fan-out pass, and the core profiled alone, across workload sizes.
 type pipelineReport struct {
-	benchHeader
-	Seed   uint64          `json:"seed"`
-	Points []pipelinePoint `json:"points"`
+	benchfile.Header
+	Seed   uint64                      `json:"seed"`
+	Points []experiments.PipelinePoint `json:"points"`
 }
 
-type pipelinePoint struct {
-	Size         int     `json:"size"`
-	Passes       int     `json:"scan_passes"`
-	ThreePassNs  int64   `json:"three_pass_ns"`
-	SyncFanoutNs int64   `json:"sync_fanout_ns"`
-	SoloSyncNs   int64   `json:"solo_sync_ns"`
-	Speedup      float64 `json:"speedup_vs_three_pass"`
-	Identical    bool    `json:"identical"`
-}
-
-// replayReport is the machine-readable replay/diff throughput benchmark
-// written to BENCH_replay.json: raw trace replay, end-to-end profile
+// replayReport is BENCH_replay.json: raw trace replay, end-to-end profile
 // replay (asserted identical to the recording's profile), and the
 // Merkle-indexed diff against the full scan it replaces.
 type replayReport struct {
-	benchHeader
+	benchfile.Header
 	Parallelism int    `json:"parallelism"`
 	Seed        uint64 `json:"seed"`
-	experiments.ReplayBenchResult
+	*experiments.ReplayBenchResult
 }
 
 // bench measures overhead and the memoization ablation and writes the
@@ -518,111 +449,59 @@ func bench(args []string) error {
 	if *check {
 		return benchCheck(*out, now)
 	}
-	if *out == "" {
-		if *pipeOut != "" {
-			if err := benchPipeline(*pipeOut, now); err != nil {
-				return err
-			}
-		}
-		if *replayOut != "" {
-			return benchReplay(*replayOut, now)
-		}
-		return nil
-	}
-	var rep benchReport
-	rep.benchHeader = newBenchHeader()
-	rep.Parallelism = experiments.Parallelism()
-	rep.Sweep.MaxSize = sweep.MaxSize
-	rep.Sweep.Step = sweep.Step
-	rep.Sweep.Reps = sweep.Reps
-	rep.Sweep.Seed = sweep.Seed
-
-	ov, err := experiments.Overhead(sweep, now)
-	if err != nil {
-		return err
-	}
-	rep.Overhead.PlainInstrs = ov.PlainInstrs
-	rep.Overhead.ProfiledInstrs = ov.ProfiledInstrs
-	rep.Overhead.PlainNs = ov.PlainNs
-	rep.Overhead.ProfiledNs = ov.ProfiledNs
-	rep.Overhead.Slowdown = ov.Slowdown()
-
-	mv, err := experiments.ModeOverhead(sweep, now)
-	if err != nil {
-		return err
-	}
-	rep.Modes = modeSection(mv)
-
-	pts, err := experiments.OverheadSweep([]int{16, 64, 256, 512}, sweep.Seed, now)
-	if err != nil {
-		return err
-	}
-	for _, p := range pts {
-		bp := benchPoint{
-			Size:           p.Size,
-			PlainNs:        p.PlainNs,
-			ProfiledNs:     p.ProfiledNs,
-			NoMemoNs:       p.NoMemoNs,
-			Slowdown:       p.Slowdown(),
-			NoMemoSlowdown: p.NoMemoSlowdown(),
-		}
-		if p.ProfiledNs > 0 {
-			bp.MemoSpeedup = float64(p.NoMemoNs) / float64(p.ProfiledNs)
-		}
-		rep.Points = append(rep.Points, bp)
-	}
-
-	data, err := json.MarshalIndent(&rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if *out == "-" {
-		if _, err := os.Stdout.Write(data); err != nil {
+	if *out != "" {
+		rep := overheadReport{Parallelism: experiments.Parallelism(), Sweep: sweep}
+		var err error
+		if rep.Modes, err = experiments.ModeOverhead(sweep, now); err != nil {
 			return err
 		}
-	} else {
-		if err := os.WriteFile(*out, data, 0o644); err != nil {
+		if rep.Points, err = experiments.OverheadSweep([]int{16, 64, 256, 512}, sweep.Seed, now); err != nil {
 			return err
 		}
-		fmt.Printf("wrote %s (%d sweep points)\n", *out, len(rep.Points))
+		if err := writeReport(*out, &rep, fmt.Sprintf("%d sweep points", len(rep.Points))); err != nil {
+			return err
+		}
 	}
-
 	if *pipeOut != "" {
-		if err := benchPipeline(*pipeOut, now); err != nil {
+		rep := pipelineReport{Seed: sweep.Seed}
+		var err error
+		if rep.Points, err = experiments.PipelineBench([]int{16, 64, 128, 256}, sweep.Seed, now); err != nil {
+			return err
+		}
+		if err := writeReport(*pipeOut, &rep, fmt.Sprintf("%d sizes", len(rep.Points))); err != nil {
 			return err
 		}
 	}
 	if *replayOut != "" {
-		return benchReplay(*replayOut, now)
+		res, err := experiments.ReplayBench(sweep, now)
+		if err != nil {
+			return err
+		}
+		rep := replayReport{Parallelism: experiments.Parallelism(), Seed: sweep.Seed, ReplayBenchResult: res}
+		return writeReport(*replayOut, &rep, fmt.Sprintf("replay %v, profile replay %v over %d frames, diff %.1fx",
+			time.Duration(res.ReplayNs.Median), time.Duration(res.ProfileReplayNs.Median), res.Frames, res.DiffSpeedup.Median))
 	}
 	return nil
 }
 
-// modeSection maps a measured per-mode overhead result to its report
-// section.
-func modeSection(mv *experiments.ModeOverheadResult) benchModes {
-	return benchModes{
-		PlainNs:           mv.PlainNs,
-		EventsNs:          mv.EventsNs,
-		PathsNs:           mv.PathsNs,
-		PlainInstrs:       mv.PlainInstrs,
-		EventsInstrs:      mv.EventsInstrs,
-		PathsInstrs:       mv.PathsInstrs,
-		EventsSlowdown:    mv.EventsSlowdown(),
-		PathsSlowdown:     mv.PathsSlowdown(),
-		EventsOverPathsQ1: mv.EventsOverPaths[0],
-		EventsOverPaths:   mv.EventsOverPaths[1],
-		EventsOverPathsQ3: mv.EventsOverPaths[2],
+// writeReport writes one BENCH file and, unless it went to standard
+// output, names it with a one-line summary.
+func writeReport(path string, rep benchfile.Report, summary string) error {
+	if err := benchfile.Write(path, rep); err != nil {
+		return err
 	}
+	if path != "-" {
+		fmt.Printf("wrote %s (%s)\n", path, summary)
+	}
+	return nil
 }
 
 // eventsOverPathsTolerance is how far bench -check lets the fresh median
-// per-round events-over-paths ratio rise above the committed baseline's
-// (1.42). It comes from the measured spread on the 2-core reference host:
-// 14 runs of the unchanged tree gave medians of 1.32–1.45, and a fixed
-// per-event cost in the core worth +22% to +31% of its self time
-// (events − plain) gave 1.55–1.66 in every run.
+// per-round events-over-paths ratio rise above the committed baseline's.
+// It comes from the measured spread on the 2-core reference host: 14
+// runs of the unchanged tree gave medians of 1.32–1.45 against a baseline
+// of 1.42, and a fixed per-event cost in the core worth +22% to +31% of
+// its self time (events − plain) gave 1.55–1.66 in every run.
 const eventsOverPathsTolerance = 0.07
 
 // benchCheck is the bench-smoke regression gate on the profiler's own
@@ -636,98 +515,29 @@ func benchCheck(baselinePath string, now func() int64) error {
 	if err != nil {
 		return err
 	}
-	fresh := mv.EventsOverPaths[1]
+	fresh := mv.EventsOverPaths.Median
 	fmt.Printf("mode overhead: plain=%v events=%v (%.2fx) paths=%v (%.2fx) events/paths=%.3f [%.3f, %.3f]\n",
-		time.Duration(mv.PlainNs), time.Duration(mv.EventsNs), mv.EventsSlowdown(),
-		time.Duration(mv.PathsNs), mv.PathsSlowdown(), fresh, mv.EventsOverPaths[0], mv.EventsOverPaths[2])
+		time.Duration(mv.PlainNs.Median), time.Duration(mv.EventsNs.Median), mv.EventsSlowdown.Median,
+		time.Duration(mv.PathsNs.Median), mv.PathsSlowdown.Median, fresh, mv.EventsOverPaths.Q1, mv.EventsOverPaths.Q3)
 
 	data, err := os.ReadFile(baselinePath)
 	if err != nil {
 		return fmt.Errorf("bench -check: no baseline: %w", err)
 	}
-	var base benchReport
+	var base overheadReport
 	if err := json.Unmarshal(data, &base); err != nil {
 		return fmt.Errorf("bench -check: bad baseline %s: %w", baselinePath, err)
 	}
-	if base.Modes.EventsOverPaths == 0 {
-		return fmt.Errorf("bench -check: %s records no events_over_paths; run `paper bench` to record one", baselinePath)
+	if base.Modes == nil || base.Modes.EventsOverPaths.Median == 0 {
+		return fmt.Errorf("bench -check: %s records no events_over_paths median; run `paper bench` to record one", baselinePath)
 	}
-	limit := base.Modes.EventsOverPaths * (1 + eventsOverPathsTolerance)
+	baseline := base.Modes.EventsOverPaths.Median
+	limit := baseline * (1 + eventsOverPathsTolerance)
 	if fresh > limit {
 		return fmt.Errorf("bench -check: events/paths time %.3f exceeds baseline %.3f by more than %.0f%% (limit %.3f)",
-			fresh, base.Modes.EventsOverPaths, 100*eventsOverPathsTolerance, limit)
+			fresh, baseline, 100*eventsOverPathsTolerance, limit)
 	}
 	fmt.Printf("bench -check: ok (events/paths %.3f <= limit %.3f)\n", fresh, limit)
-	return nil
-}
-
-// benchPipeline runs the event-transport benchmark and writes
-// BENCH_pipeline.json.
-func benchPipeline(out string, now func() int64) error {
-	var rep pipelineReport
-	rep.benchHeader = newBenchHeader()
-	rep.Seed = sweep.Seed
-
-	pts, err := experiments.PipelineBench([]int{16, 64, 128, 256}, sweep.Seed, now)
-	if err != nil {
-		return err
-	}
-	for _, p := range pts {
-		rep.Points = append(rep.Points, pipelinePoint{
-			Size:         p.Size,
-			Passes:       p.Passes,
-			ThreePassNs:  p.ThreePassNs,
-			SyncFanoutNs: p.SyncFanoutNs,
-			SoloSyncNs:   p.SoloSyncNs,
-			Speedup:      p.Speedup(),
-			Identical:    p.Identical,
-		})
-	}
-
-	data, err := json.MarshalIndent(&rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if out == "-" {
-		_, err := os.Stdout.Write(data)
-		return err
-	}
-	if err := os.WriteFile(out, data, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s (%d sizes)\n", out, len(rep.Points))
-	return nil
-}
-
-// benchReplay runs the replay and Merkle-diff benchmark and writes
-// BENCH_replay.json.
-func benchReplay(out string, now func() int64) error {
-	var rep replayReport
-	rep.benchHeader = newBenchHeader()
-	rep.Parallelism = experiments.Parallelism()
-	rep.Seed = sweep.Seed
-
-	res, err := experiments.ReplayBench(sweep, now)
-	if err != nil {
-		return err
-	}
-	rep.ReplayBenchResult = *res
-
-	data, err := json.MarshalIndent(&rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if out == "-" {
-		_, err := os.Stdout.Write(data)
-		return err
-	}
-	if err := os.WriteFile(out, data, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s (replay %v, profile replay %v over %d frames, diff %.1fx)\n",
-		out, time.Duration(res.ReplayNs), time.Duration(res.ProfileReplayNs), res.Frames, res.DiffSpeedup)
 	return nil
 }
 

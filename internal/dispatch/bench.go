@@ -3,11 +3,10 @@ package dispatch
 import (
 	"context"
 	"fmt"
-	"math"
 	"path/filepath"
-	"sort"
 	"time"
 
+	"algoprof/internal/benchfile"
 	"algoprof/internal/faultinject"
 	"algoprof/internal/service"
 	"algoprof/internal/trace/store"
@@ -37,21 +36,13 @@ type BenchConfig struct {
 type BenchLeg struct {
 	Name          string `json:"name"`
 	WorkerCrashes int    `json:"worker_crashes"`
-	Jobs          int    `json:"jobs"`
+	// Outcomes tallies the leg's jobs; its Check gates the leg, crashes
+	// or not.
+	service.Outcomes
 
-	OK       int `json:"ok"`
-	Degraded int `json:"degraded"`
-	Failed   int `json:"failed"`
-	// Lost counts admitted jobs that never reached a terminal status —
-	// the gate requires zero, crashes or not.
-	Lost int `json:"lost"`
-	// UntypedFailures counts failed jobs without a fault class — also
-	// gated to zero.
-	UntypedFailures int `json:"untyped_failures"`
-
-	ThroughputJobsPerSec float64 `json:"throughput_jobs_per_sec"`
-	P50LatencyMs         float64 `json:"p50_latency_ms"`
-	P95LatencyMs         float64 `json:"p95_latency_ms"`
+	JobsPerSec float64 `json:"jobs_per_sec"`
+	// LatencyMs summarizes each job's queue plus run time.
+	LatencyMs benchfile.Summary `json:"latency_ms"`
 
 	// Dispatch-layer counters: what the fault load actually exercised.
 	Dispatched       int64 `json:"dispatched"`
@@ -69,22 +60,16 @@ type BenchReport struct {
 	Legs       []BenchLeg `json:"legs"`
 }
 
-// Check gates the report: every leg must have zero lost jobs and zero
-// untyped failures. It returns the violations (empty = pass).
+// Check gates the report: every leg's outcomes must pass their Check. It
+// returns the violations (empty = pass).
 func (r *BenchReport) Check() []string {
 	var v []string
 	if len(r.Legs) == 0 {
 		v = append(v, "bench report has no legs")
 	}
 	for _, leg := range r.Legs {
-		if leg.Lost != 0 {
-			v = append(v, fmt.Sprintf("leg %s: %d lost jobs (want 0)", leg.Name, leg.Lost))
-		}
-		if leg.UntypedFailures != 0 {
-			v = append(v, fmt.Sprintf("leg %s: %d untyped failures (want 0)", leg.Name, leg.UntypedFailures))
-		}
-		if leg.OK+leg.Degraded == 0 {
-			v = append(v, fmt.Sprintf("leg %s: no job succeeded", leg.Name))
+		for _, bad := range leg.Check() {
+			v = append(v, fmt.Sprintf("leg %s: %s", leg.Name, bad))
 		}
 	}
 	return v
@@ -118,8 +103,8 @@ func RunBench(cfg BenchConfig) (*BenchReport, error) {
 			return nil, err
 		}
 		rep.Legs = append(rep.Legs, *leg)
-		cfg.Logf("bench-dispatch: %s: %.1f jobs/s p95 %.1fms (%d ok, %d retries, %d revocations, %d fallbacks)",
-			leg.Name, leg.ThroughputJobsPerSec, leg.P95LatencyMs, leg.OK, leg.Retries, leg.LeaseRevocations, leg.Fallbacks)
+		cfg.Logf("distbench: %s: %.1f jobs/s median %.1fms (%d ok, %d retries, %d revocations, %d fallbacks)",
+			leg.Name, leg.JobsPerSec, leg.LatencyMs.Median, leg.OK, leg.Retries, leg.LeaseRevocations, leg.Fallbacks)
 	}
 	return rep, nil
 }
@@ -162,7 +147,7 @@ func runBenchLeg(cfg BenchConfig, crashes int) (*BenchLeg, error) {
 	}
 
 	src := workloads.RunningExample(workloads.Random, 32, 8, 1)
-	leg := &BenchLeg{Name: fmt.Sprintf("crash-%d", crashes), WorkerCrashes: crashes, Jobs: cfg.Jobs}
+	leg := &BenchLeg{Name: fmt.Sprintf("crash-%d", crashes), WorkerCrashes: crashes, Outcomes: service.Outcomes{Jobs: cfg.Jobs}}
 	start := time.Now()
 	var ids []string
 	for i := 0; i < cfg.Jobs; i++ {
@@ -204,21 +189,10 @@ func runBenchLeg(cfg BenchConfig, crashes int) (*BenchLeg, error) {
 			continue
 		}
 		latencies = append(latencies, float64(v.QueueMs+v.RunMs))
-		switch v.Status {
-		case service.StatusOK:
-			leg.OK++
-		case service.StatusDegraded:
-			leg.Degraded++
-		case service.StatusFailed:
-			leg.Failed++
-			if v.ErrorClass == faultinject.Unknown.String() || v.ErrorClass == "" {
-				leg.UntypedFailures++
-			}
-		}
+		leg.Add(v.Status, v.ErrorKind, v.ErrorClass)
 	}
-	leg.ThroughputJobsPerSec = round2(float64(len(ids)-leg.Lost) / elapsed.Seconds())
-	leg.P50LatencyMs = percentile(latencies, 0.50)
-	leg.P95LatencyMs = percentile(latencies, 0.95)
+	leg.JobsPerSec = float64(len(ids)-leg.Lost) / elapsed.Seconds()
+	leg.LatencyMs = benchfile.Summarize(latencies)
 	if disp != nil {
 		stats := disp.Stats()
 		leg.Dispatched = stats.Dispatched
@@ -234,22 +208,3 @@ func runBenchLeg(cfg BenchConfig, crashes int) (*BenchLeg, error) {
 	cancel()
 	return leg, nil
 }
-
-// percentile returns the p-quantile of xs (nearest-rank), 0 for empty.
-func percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sorted := append([]float64{}, xs...)
-	sort.Float64s(sorted)
-	idx := int(math.Ceil(p*float64(len(sorted)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
-}
-
-func round2(x float64) float64 { return math.Round(x*100) / 100 }

@@ -9,13 +9,12 @@ package experiments
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sort"
 	"strings"
 	"sync"
 
 	"algoprof"
 	"algoprof/internal/bbprof"
+	"algoprof/internal/benchfile"
 	"algoprof/internal/cct"
 	"algoprof/internal/mj/compiler"
 	"algoprof/internal/report"
@@ -27,10 +26,10 @@ import (
 // experiment comfortably inside a laptop-second budget while leaving
 // enough size range for the n / n·log n / n² shapes to separate.
 type Sweep struct {
-	MaxSize int
-	Step    int
-	Reps    int
-	Seed    uint64
+	MaxSize int    `json:"max_size"`
+	Step    int    `json:"step"`
+	Reps    int    `json:"reps"`
+	Seed    uint64 `json:"seed"`
 }
 
 // DefaultSweep is used by cmd/paper and the benchmarks.
@@ -408,161 +407,76 @@ func treeHasNesting(tree, parent, child string) bool {
 // ---------------------------------------------------------------------------
 // §5: profiling overhead.
 
-// OverheadResult quantifies the slowdown of algorithmic profiling.
-type OverheadResult struct {
-	// PlainInstrs is the instruction count of the uninstrumented run.
-	PlainInstrs uint64
-	// ProfiledInstrs is the instruction count under the optimized plan
-	// (includes executed probe instructions).
-	ProfiledInstrs uint64
-	// PlainNs and ProfiledNs are wall-clock nanoseconds (profiling work in
-	// the listener dominates; the paper reports orders of magnitude).
-	PlainNs    int64
-	ProfiledNs int64
-}
-
-// Slowdown is the wall-clock ratio.
-func (o *OverheadResult) Slowdown() float64 {
-	if o.PlainNs == 0 {
-		return 0
-	}
-	return float64(o.ProfiledNs) / float64(o.PlainNs)
-}
-
-// Overhead measures plain execution versus profiled execution of the
-// running example. Timing is done by the caller-provided clock to keep
-// this package deterministic-friendly.
-func Overhead(sw Sweep, now func() int64) (*OverheadResult, error) {
-	src := workloads.RunningExample(workloads.Random, sw.MaxSize, sw.Step, sw.Reps)
-	prog, err := compiler.CompileSource(src)
-	if err != nil {
-		return nil, err
-	}
-	res := &OverheadResult{}
-
-	// Interleaved best-of-3 per leg: a single cold sample at this scale is
-	// dominated by warm-up and scheduler noise.
-	for round := 0; round < 3; round++ {
-		t0 := now()
-		plain := vm.New(prog, vm.Config{Seed: sw.Seed})
-		if err := plain.Run(); err != nil {
-			return nil, err
-		}
-		if d := now() - t0; res.PlainNs == 0 || d < res.PlainNs {
-			res.PlainNs = d
-		}
-		res.PlainInstrs = plain.InstrCount
-
-		t1 := now()
-		prof, err := algoprof.RunProgram(prog, algoprof.Config{Seed: sw.Seed})
-		if err != nil {
-			return nil, err
-		}
-		if d := now() - t1; res.ProfiledNs == 0 || d < res.ProfiledNs {
-			res.ProfiledNs = d
-		}
-		res.ProfiledInstrs = prof.Instructions
-	}
-	return res, nil
-}
-
 // ModeOverheadResult compares the profiling modes on the running example:
-// plain execution, exact events mode, and path-counter mode. This is the
-// overhead-trajectory measurement — events mode is the ~3.5x baseline the
-// path-counter rewrite bends down.
+// plain execution, exact events mode (the default, and the paper's
+// profiler), and path-counter mode. This is the §5 overhead measurement
+// and its trajectory — events mode is the baseline the path-counter
+// rewrite bends down.
 type ModeOverheadResult struct {
-	// PlainNs / EventsNs / PathsNs are best-of-round wall-clock times.
-	PlainNs  int64
-	EventsNs int64
-	PathsNs  int64
+	// PlainNs / EventsNs / PathsNs summarize each mode's wall times over
+	// modeRounds interleaved rounds.
+	PlainNs  benchfile.Summary `json:"plain_ns"`
+	EventsNs benchfile.Summary `json:"events_ns"`
+	PathsNs  benchfile.Summary `json:"paths_ns"`
 	// PlainInstrs / EventsInstrs / PathsInstrs are executed instruction
 	// counts (probes and superinstructions included).
-	PlainInstrs  uint64
-	EventsInstrs uint64
-	PathsInstrs  uint64
-	// EventsOverPaths holds the 25th, 50th and 75th percentiles of the
-	// per-round events-mode over paths-mode time. The two modes share the
-	// VM and the profiler core; what separates them is the delivery and
-	// consumption of every access and iteration event paths mode elides,
-	// so the ratio tracks the profiler's own per-event cost with the VM's
-	// speed divided out.
-	EventsOverPaths [3]float64
-}
-
-// EventsSlowdown is the events-mode wall-clock ratio over plain execution.
-func (m *ModeOverheadResult) EventsSlowdown() float64 {
-	if m.PlainNs == 0 {
-		return 0
-	}
-	return float64(m.EventsNs) / float64(m.PlainNs)
-}
-
-// PathsSlowdown is the paths-mode wall-clock ratio over plain execution.
-func (m *ModeOverheadResult) PathsSlowdown() float64 {
-	if m.PlainNs == 0 {
-		return 0
-	}
-	return float64(m.PathsNs) / float64(m.PlainNs)
+	PlainInstrs  uint64 `json:"plain_instrs"`
+	EventsInstrs uint64 `json:"events_instrs"`
+	PathsInstrs  uint64 `json:"paths_instrs"`
+	// EventsSlowdown and PathsSlowdown are the per-round ratios of each
+	// profiled mode's time over plain execution's.
+	EventsSlowdown benchfile.Summary `json:"events_slowdown"`
+	PathsSlowdown  benchfile.Summary `json:"paths_slowdown"`
+	// EventsOverPaths is the per-round events-mode over paths-mode time.
+	// The two modes share the VM and the profiler core; what separates
+	// them is the delivery and consumption of every access and iteration
+	// event paths mode elides, so the ratio tracks the profiler's own
+	// per-event cost with the VM's speed divided out.
+	EventsOverPaths benchfile.Summary `json:"events_over_paths"`
 }
 
 // modeRounds is how many interleaved rounds ModeOverhead times. One
 // round's three legs run back to back and see one machine state; on a
 // shared host that state drifts over seconds, which a per-round ratio
-// survives and a best-of-round absolute time does not.
+// survives and a leg's absolute time does not.
 const modeRounds = 49
 
 // ModeOverhead measures the three modes interleaved over modeRounds
-// rounds. Each leg starts after a collection, so no leg pays for the
-// garbage of the one before it.
+// rounds. Timing is done by the caller-provided clock.
 func ModeOverhead(sw Sweep, now func() int64) (*ModeOverheadResult, error) {
 	src := workloads.RunningExample(workloads.Random, sw.MaxSize, sw.Step, sw.Reps)
 	prog, err := compiler.CompileSource(src)
 	if err != nil {
 		return nil, err
 	}
-	profiled := func(mode string) func() (uint64, error) {
-		return func() (uint64, error) {
+	res := &ModeOverheadResult{}
+	profiled := func(mode string, instrs *uint64) func() error {
+		return func() error {
 			p, err := algoprof.RunProgram(prog, algoprof.Config{Seed: sw.Seed, Mode: mode})
 			if err != nil {
-				return 0, err
+				return err
 			}
-			return p.Instructions, nil
+			*instrs = p.Instructions
+			return nil
 		}
 	}
-	legs := []func() (uint64, error){
-		func() (uint64, error) {
+	r, err := timeLegs(modeRounds, now, nil,
+		leg{"plain", func() error {
 			plain := vm.New(prog, vm.Config{Seed: sw.Seed})
 			err := plain.Run()
-			return plain.InstrCount, err
-		},
-		profiled(algoprof.ModeEvents),
-		profiled(algoprof.ModePaths),
+			res.PlainInstrs = plain.InstrCount
+			return err
+		}},
+		leg{"events", profiled(algoprof.ModeEvents, &res.EventsInstrs)},
+		leg{"paths", profiled(algoprof.ModePaths, &res.PathsInstrs)},
+	)
+	if err != nil {
+		return nil, err
 	}
-	res := &ModeOverheadResult{}
-	best := []*int64{&res.PlainNs, &res.EventsNs, &res.PathsNs}
-	instrs := []*uint64{&res.PlainInstrs, &res.EventsInstrs, &res.PathsInstrs}
-	ratios := make([]float64, modeRounds)
-	for round := range ratios {
-		var ns [3]int64
-		for i, leg := range legs {
-			runtime.GC()
-			t0 := now()
-			n, err := leg()
-			if err != nil {
-				return nil, err
-			}
-			ns[i] = now() - t0
-			if *best[i] == 0 || ns[i] < *best[i] {
-				*best[i] = ns[i]
-			}
-			*instrs[i] = n
-		}
-		ratios[round] = float64(ns[1]) / float64(ns[2])
-	}
-	sort.Float64s(ratios)
-	for q := range res.EventsOverPaths {
-		res.EventsOverPaths[q] = ratios[(q+1)*(len(ratios)-1)/4]
-	}
+	res.PlainNs, res.EventsNs, res.PathsNs = r.ns("plain"), r.ns("events"), r.ns("paths")
+	res.EventsSlowdown = r.ratio("events", "plain")
+	res.PathsSlowdown = r.ratio("paths", "plain")
+	res.EventsOverPaths = r.ratio("events", "paths")
 	return res, nil
 }
 
@@ -671,45 +585,49 @@ func AblationSizeStrategy() (*AblationSizeStrategyResult, error) {
 // AblationIdentifyResult compares the deferred identification optimization
 // with eager per-access snapshots on a construction-heavy workload.
 type AblationIdentifyResult struct {
-	DeferredNs int64
-	EagerNs    int64
+	DeferredNs benchfile.Summary
+	EagerNs    benchfile.Summary
 	// SameInputs reports whether both modes identified the same number
 	// of inputs with the same maximum size.
 	SameInputs bool
 }
 
-// AblationIdentify measures both identification modes.
+// AblationIdentify measures both identification modes, one run each.
 func AblationIdentify(size int, now func() int64) (*AblationIdentifyResult, error) {
 	src := workloads.Listing4(size)
-	res := &AblationIdentifyResult{}
+	var profs [2]*algoprof.Profile
+	identify := func(eager bool, prof **algoprof.Profile) func() error {
+		return func() (err error) {
+			*prof, err = algoprof.Run(src, algoprof.Config{EagerIdentify: eager})
+			return err
+		}
+	}
+	r, err := timeLegs(1, now, nil,
+		leg{"deferred", identify(false, &profs[0])},
+		leg{"eager", identify(true, &profs[1])},
+	)
+	if err != nil {
+		return nil, err
+	}
 	type outcome struct {
 		inputs, maxSize int
 	}
 	var outs [2]outcome
-	for i, eager := range []bool{false, true} {
-		t0 := now()
-		prof, err := algoprof.Run(src, algoprof.Config{EagerIdentify: eager})
-		if err != nil {
-			return nil, err
-		}
-		dt := now() - t0
+	for i, prof := range profs {
 		p, _ := prof.Raw()
 		reg := p.Registry()
-		o := outcome{inputs: len(reg.CanonicalIDs())}
+		outs[i].inputs = len(reg.CanonicalIDs())
 		for _, id := range reg.CanonicalIDs() {
-			if s := reg.Input(id).MaxSize; s > o.maxSize {
-				o.maxSize = s
+			if s := reg.Input(id).MaxSize; s > outs[i].maxSize {
+				outs[i].maxSize = s
 			}
 		}
-		outs[i] = o
-		if eager {
-			res.EagerNs = dt
-		} else {
-			res.DeferredNs = dt
-		}
 	}
-	res.SameInputs = outs[0] == outs[1]
-	return res, nil
+	return &AblationIdentifyResult{
+		DeferredNs: r.ns("deferred"),
+		EagerNs:    r.ns("eager"),
+		SameInputs: outs[0] == outs[1],
+	}, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -807,29 +725,23 @@ func Crossover(sw Sweep) (*CrossoverResult, error) {
 // both with the incremental snapshot memo (the default) and without it
 // (the paper's measured behaviour, which §5 calls to optimize).
 type OverheadPoint struct {
-	Size       int
-	PlainNs    int64
-	ProfiledNs int64
+	Size       int               `json:"size"`
+	PlainNs    benchfile.Summary `json:"plain_ns"`
+	ProfiledNs benchfile.Summary `json:"profiled_ns"`
 	// NoMemoNs is the profiled wall time with snapshot memoization
 	// disabled: every observation re-traverses its O(size) structure.
-	NoMemoNs int64
+	NoMemoNs benchfile.Summary `json:"no_memo_ns"`
+	// Slowdown and NoMemoSlowdown are the per-round ratios of each
+	// profiled leg's time over plain execution's; MemoSpeedup is the
+	// per-round no-memo over memoized time.
+	Slowdown       benchfile.Summary `json:"slowdown"`
+	NoMemoSlowdown benchfile.Summary `json:"no_memo_slowdown"`
+	MemoSpeedup    benchfile.Summary `json:"memo_speedup"`
 }
 
-// Slowdown is the wall-clock ratio at this size (memoized profiler).
-func (p OverheadPoint) Slowdown() float64 {
-	if p.PlainNs == 0 {
-		return 0
-	}
-	return float64(p.ProfiledNs) / float64(p.PlainNs)
-}
-
-// NoMemoSlowdown is the wall-clock ratio with memoization disabled.
-func (p OverheadPoint) NoMemoSlowdown() float64 {
-	if p.PlainNs == 0 {
-		return 0
-	}
-	return float64(p.NoMemoNs) / float64(p.PlainNs)
-}
+// sweepRounds is how many interleaved rounds each OverheadSweep point
+// times.
+const sweepRounds = 3
 
 // OverheadSweep measures the profiling slowdown at increasing input sizes:
 // without memoization, snapshots cost O(structure size) per repetition
@@ -841,11 +753,9 @@ func (p OverheadPoint) NoMemoSlowdown() float64 {
 // both modes), so the repeated read-only scans — the regime incremental
 // snapshots target — carry the snapshot cost. The sweep points are
 // independent and run on the worker pool; each point's
-// plain/profiled/no-memo runs stay sequential so its ratios compare like
-// with like. Each leg is timed best-of-3 to damp scheduler noise at the
-// microsecond-scale small sizes.
+// plain/profiled/no-memo legs stay sequential so its ratios compare like
+// with like.
 func OverheadSweep(sizes []int, seed uint64, now func() int64) ([]OverheadPoint, error) {
-	const rounds = 3
 	out := make([]OverheadPoint, len(sizes))
 	err := forEachIndex(len(sizes), func(i int) error {
 		size := sizes[i]
@@ -854,33 +764,29 @@ func OverheadSweep(sizes []int, seed uint64, now func() int64) ([]OverheadPoint,
 		if err != nil {
 			return err
 		}
-		best := func(prev, d int64) int64 {
-			if prev == 0 || d < prev {
-				return d
+		profiled := func(cfg algoprof.Config) func() error {
+			return func() error {
+				_, err := algoprof.RunProgram(prog, cfg)
+				return err
 			}
-			return prev
 		}
-		pt := OverheadPoint{Size: size}
-		for round := 0; round < rounds; round++ {
-			t0 := now()
-			plain := vm.New(prog, vm.Config{Seed: seed})
-			if err := plain.Run(); err != nil {
-				return err
-			}
-			t1 := now()
-			if _, err := algoprof.RunProgram(prog, algoprof.Config{Seed: seed}); err != nil {
-				return err
-			}
-			t2 := now()
-			if _, err := algoprof.RunProgram(prog, algoprof.Config{Seed: seed, DisableMemo: true}); err != nil {
-				return err
-			}
-			t3 := now()
-			pt.PlainNs = best(pt.PlainNs, t1-t0)
-			pt.ProfiledNs = best(pt.ProfiledNs, t2-t1)
-			pt.NoMemoNs = best(pt.NoMemoNs, t3-t2)
+		r, err := timeLegs(sweepRounds, now, nil,
+			leg{"plain", func() error { return vm.New(prog, vm.Config{Seed: seed}).Run() }},
+			leg{"profiled", profiled(algoprof.Config{Seed: seed})},
+			leg{"no-memo", profiled(algoprof.Config{Seed: seed, DisableMemo: true})},
+		)
+		if err != nil {
+			return err
 		}
-		out[i] = pt
+		out[i] = OverheadPoint{
+			Size:           size,
+			PlainNs:        r.ns("plain"),
+			ProfiledNs:     r.ns("profiled"),
+			NoMemoNs:       r.ns("no-memo"),
+			Slowdown:       r.ratio("profiled", "plain"),
+			NoMemoSlowdown: r.ratio("no-memo", "plain"),
+			MemoSpeedup:    r.ratio("no-memo", "profiled"),
+		}
 		return nil
 	})
 	if err != nil {

@@ -161,16 +161,19 @@ func TestParadigmAgnosticism(t *testing.T) {
 }
 
 func TestOverheadExperiment(t *testing.T) {
-	res, err := Overhead(Sweep{MaxSize: 48, Step: 6, Reps: 1, Seed: 1}, func() int64 { return time.Now().UnixNano() })
+	res, err := ModeOverhead(Sweep{MaxSize: 48, Step: 6, Reps: 1, Seed: 1}, func() int64 { return time.Now().UnixNano() })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.ProfiledInstrs <= res.PlainInstrs {
+	if res.EventsInstrs <= res.PlainInstrs {
 		t.Errorf("profiled instruction count %d should exceed plain %d (probes execute)",
-			res.ProfiledInstrs, res.PlainInstrs)
+			res.EventsInstrs, res.PlainInstrs)
 	}
-	if res.Slowdown() < 1 {
-		t.Errorf("slowdown %.2f < 1 is implausible", res.Slowdown())
+	if res.EventsSlowdown.Median < 1 {
+		t.Errorf("slowdown %.2f < 1 is implausible", res.EventsSlowdown.Median)
+	}
+	if n := res.EventsOverPaths.N; n != modeRounds {
+		t.Errorf("events/paths over %d rounds, want %d", n, modeRounds)
 	}
 }
 
@@ -214,9 +217,9 @@ func TestAblationIdentify(t *testing.T) {
 	}
 	// Eager identification is asymptotically worse on constructions; on a
 	// 300-element build it must not be faster by more than noise.
-	if res.EagerNs < res.DeferredNs/4 {
-		t.Errorf("eager (%dns) unexpectedly much faster than deferred (%dns)",
-			res.EagerNs, res.DeferredNs)
+	if res.EagerNs.Median < res.DeferredNs.Median/4 {
+		t.Errorf("eager (%.0fns) unexpectedly much faster than deferred (%.0fns)",
+			res.EagerNs.Median, res.DeferredNs.Median)
 	}
 }
 
@@ -250,8 +253,8 @@ func TestOverheadSweepGrows(t *testing.T) {
 		t.Fatalf("points = %d", len(pts))
 	}
 	for _, p := range pts {
-		if p.Slowdown() < 1 {
-			t.Errorf("size %d: slowdown %.2f < 1", p.Size, p.Slowdown())
+		if p.Slowdown.Median < 1 {
+			t.Errorf("size %d: slowdown %.2f < 1", p.Size, p.Slowdown.Median)
 		}
 	}
 }

@@ -2,12 +2,12 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
 
 	"algoprof"
 	"algoprof/internal/bbprof"
+	"algoprof/internal/benchfile"
 	"algoprof/internal/cct"
 	"algoprof/internal/mj/compiler"
 	"algoprof/internal/vm"
@@ -134,39 +134,35 @@ func profileFingerprint(p *algoprof.Profile) string {
 // PipelinePoint measures the event-transport configurations at one
 // workload size.
 type PipelinePoint struct {
-	Size int
+	Size int `json:"size"`
 	// Passes is the number of read-only sortedness scans per constructed
 	// list (the sort-once-query-many workload shape); scaled with Size so
 	// scan work and sort work keep a fixed ratio across the sweep.
-	Passes int
+	Passes int `json:"scan_passes"`
 	// ThreePassNs runs the workload three times, once per backend, each
 	// with its backend wired directly to the VM — the comparison cost
 	// without a shared event stream.
-	ThreePassNs int64
+	ThreePassNs benchfile.Summary `json:"three_pass_ns"`
 	// SyncFanoutNs is one pass with inline fan-out to all three backends.
-	SyncFanoutNs int64
+	SyncFanoutNs benchfile.Summary `json:"sync_fanout_ns"`
 	// SoloSyncNs profiles with the core wired directly to the VM as the
 	// only listener.
-	SoloSyncNs int64
-	// SpeedupRatio is the median over rounds of the per-round
-	// three-pass/fan-out ratio. Comparing legs of the same round makes
-	// the ratio robust to machine-speed drift between rounds, which
-	// best-of-N leg times are not.
-	SpeedupRatio float64
+	SoloSyncNs benchfile.Summary `json:"solo_sync_ns"`
+	// Speedup is the single-pass multi-listener gain over three passes:
+	// the per-round three-pass over fan-out time.
+	Speedup benchfile.Summary `json:"speedup_vs_three_pass"`
 	// Identical reports that the fan-out's core profile is byte-identical
 	// to the dedicated run's in every round.
-	Identical bool
+	Identical bool `json:"identical"`
 }
 
-// Speedup is the single-pass multi-listener gain over three passes: the
-// median per-round ratio (see SpeedupRatio).
-func (p PipelinePoint) Speedup() float64 { return p.SpeedupRatio }
+// pipelineRounds is how many interleaved rounds each PipelineBench point
+// times.
+const pipelineRounds = 7
 
 // PipelineBench measures the transport configurations across workload
-// sizes. Per point it runs several interleaved rounds of all three legs;
-// the reported leg times are each leg's best round (the floor estimate),
-// and the headline speedup is the median per-round ratio, which holds up
-// when the machine's speed drifts between rounds.
+// sizes, timing all three legs interleaved over pipelineRounds rounds per
+// point.
 //
 // The workload is the sort-once-query-many shape (RunningExampleScanned):
 // each constructed list is sorted once and then scanned 8*size times. This
@@ -176,7 +172,6 @@ func (p PipelinePoint) Speedup() float64 { return p.SpeedupRatio }
 // regime, where the core's snapshot traversals dominate every
 // configuration, is covered by the overhead sweep (BENCH_overhead.json).
 func PipelineBench(sizes []int, seed uint64, now func() int64) ([]PipelinePoint, error) {
-	const rounds = 7
 	out := make([]PipelinePoint, len(sizes))
 	err := forEachIndex(len(sizes), func(i int) error {
 		size := sizes[i]
@@ -186,28 +181,15 @@ func PipelineBench(sizes []int, seed uint64, now func() int64) ([]PipelinePoint,
 		if err != nil {
 			return err
 		}
-		// leg times one configuration, keeping the per-leg minimum. The
-		// forced GC keeps one leg's allocation debt from being collected
-		// on a later leg's clock — without it, leg-to-leg ratios swing
-		// wildly run to run.
-		leg := func(prev *int64, f func() error) (int64, error) {
-			runtime.GC()
-			t0 := now()
-			if err := f(); err != nil {
-				return 0, err
-			}
-			d := now() - t0
-			if *prev == 0 || d < *prev {
-				*prev = d
-			}
-			return d, nil
+		identical := true
+		var dedicated, fan *algoprof.Profile
+		sameProfile := func() error {
+			identical = identical && profileFingerprint(fan) == profileFingerprint(dedicated)
+			return nil
 		}
-		pt := PipelinePoint{Size: size, Passes: passes, Identical: true}
-		ratios := make([]float64, 0, rounds)
-		for round := 0; round < rounds; round++ {
-			// Leg 1: three separate direct-wired passes (core, cct, bb).
-			var dedicated *algoprof.Profile
-			threeNs, err := leg(&pt.ThreePassNs, func() error {
+		r, err := timeLegs(pipelineRounds, now, sameProfile,
+			// Three separate direct-wired passes (core, cct, bb).
+			leg{"three-pass", func() (err error) {
 				if dedicated, err = algoprof.RunProgram(prog, algoprof.Config{Seed: seed}); err != nil {
 					return err
 				}
@@ -215,32 +197,28 @@ func PipelineBench(sizes []int, seed uint64, now func() int64) ([]PipelinePoint,
 					return err
 				}
 				return bbPass(src, seed)
-			})
-			if err != nil {
-				return err
-			}
-			var fan *algoprof.Profile
-			fanNs, err := leg(&pt.SyncFanoutNs, func() error {
+			}},
+			leg{"fan-out", func() (err error) {
 				fan, err = algoprof.RunProgram(prog, algoprof.Config{Seed: seed, Backends: true})
 				return err
-			})
-			if err != nil {
-				return err
-			}
-			ratios = append(ratios, float64(threeNs)/float64(fanNs))
-			if _, err = leg(&pt.SoloSyncNs, func() error {
+			}},
+			leg{"solo", func() error {
 				_, err := algoprof.RunProgram(prog, algoprof.Config{Seed: seed})
 				return err
-			}); err != nil {
-				return err
-			}
-			if profileFingerprint(fan) != profileFingerprint(dedicated) {
-				pt.Identical = false
-			}
+			}},
+		)
+		if err != nil {
+			return err
 		}
-		sort.Float64s(ratios)
-		pt.SpeedupRatio = ratios[len(ratios)/2]
-		out[i] = pt
+		out[i] = PipelinePoint{
+			Size:         size,
+			Passes:       passes,
+			ThreePassNs:  r.ns("three-pass"),
+			SyncFanoutNs: r.ns("fan-out"),
+			SoloSyncNs:   r.ns("solo"),
+			Speedup:      r.ratio("three-pass", "fan-out"),
+			Identical:    identical,
+		}
 		return nil
 	})
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"algoprof"
+	"algoprof/internal/benchfile"
 	"algoprof/internal/workloads"
 )
 
@@ -69,9 +70,9 @@ func TestPipelineBenchIdentity(t *testing.T) {
 	if !p.Identical {
 		t.Error("fan-out core profile differs from the dedicated run")
 	}
-	for _, d := range []int64{p.ThreePassNs, p.SyncFanoutNs, p.SoloSyncNs} {
-		if d <= 0 {
-			t.Errorf("non-positive timing in %+v", p)
+	for _, d := range []benchfile.Summary{p.ThreePassNs, p.SyncFanoutNs, p.SoloSyncNs} {
+		if d.Median <= 0 || d.N != pipelineRounds {
+			t.Errorf("timing %+v: want a positive median over %d rounds", d, pipelineRounds)
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 
 	"algoprof"
+	"algoprof/internal/benchfile"
 	"algoprof/internal/events/pipeline"
 	"algoprof/internal/mj/compiler"
 	"algoprof/internal/trace"
@@ -21,37 +22,25 @@ type ReplayBenchResult struct {
 	Records    uint64 `json:"records"`
 	TraceBytes int64  `json:"trace_bytes"`
 
-	// ReplayNs is the best-of-3 wall time of a raw trace replay: decode,
-	// heap binding and dispatch to a no-op consumer.
-	ReplayNs int64 `json:"replay_ns"`
-	// ProfileReplayNs is the best-of-3 wall time of an end-to-end profile
-	// replay (algoprof.ReplayProgram, full profiler attached).
-	ProfileReplayNs int64 `json:"profile_replay_ns"`
+	// ReplayNs is a raw trace replay's wall time: decode, heap binding
+	// and dispatch to a no-op consumer.
+	ReplayNs benchfile.Summary `json:"replay_ns"`
+	// ProfileReplayNs is an end-to-end profile replay's wall time
+	// (algoprof.ReplayProgram, full profiler attached).
+	ProfileReplayNs benchfile.Summary `json:"profile_replay_ns"`
 
 	// Merkle-indexed diff vs the full byte scan, over an identical trace
-	// pair (the fleet's common case).
-	DiffMerkleNs    int64   `json:"diff_merkle_ns"`
-	DiffFullNs      int64   `json:"diff_full_ns"`
-	DiffMerkleBytes int64   `json:"diff_merkle_bytes"`
-	DiffFullBytes   int64   `json:"diff_full_bytes"`
-	DiffSpeedup     float64 `json:"diff_speedup"`
+	// pair (the fleet's common case); DiffSpeedup is the per-round full
+	// over Merkle time.
+	DiffMerkleNs    benchfile.Summary `json:"diff_merkle_ns"`
+	DiffFullNs      benchfile.Summary `json:"diff_full_ns"`
+	DiffMerkleBytes int64             `json:"diff_merkle_bytes"`
+	DiffFullBytes   int64             `json:"diff_full_bytes"`
+	DiffSpeedup     benchfile.Summary `json:"diff_speedup"`
 }
 
-// bestOf runs f reps times and returns the fastest wall time — the standard
-// answer to scheduler noise on shared runners.
-func bestOf(reps int, now func() int64, f func() error) (int64, error) {
-	best := int64(-1)
-	for i := 0; i < reps; i++ {
-		t0 := now()
-		if err := f(); err != nil {
-			return 0, err
-		}
-		if dt := now() - t0; best < 0 || dt < best {
-			best = dt
-		}
-	}
-	return best, nil
-}
+// replayRounds is how many interleaved rounds ReplayBench times.
+const replayRounds = 3
 
 // ReplayBench records one trace of the merge-vs-insertion workload with
 // the run store's writer options and measures (a) raw sequential replay,
@@ -70,39 +59,9 @@ func ReplayBench(sw Sweep, now func() int64) (*ReplayBenchResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &ReplayBenchResult{
-		Frames:     r.NumFrames(),
-		Records:    r.Stats().Records,
-		TraceBytes: int64(buf.Len()),
-	}
-	const reps = 3
-	if res.ReplayNs, err = bestOf(reps, now, func() error {
-		return r.Replay(func(*pipeline.Record) {})
-	}); err != nil {
-		return nil, err
-	}
-
 	prog, err := compiler.CompileSource(src)
 	if err != nil {
 		return nil, err
-	}
-	var replayed *algoprof.Profile
-	if res.ProfileReplayNs, err = bestOf(reps, now, func() error {
-		replayed, err = algoprof.ReplayProgram(prog, cfg, r)
-		return err
-	}); err != nil {
-		return nil, err
-	}
-	liveJSON, err := live.JSON()
-	if err != nil {
-		return nil, err
-	}
-	replayJSON, err := replayed.JSON()
-	if err != nil {
-		return nil, err
-	}
-	if !bytes.Equal(liveJSON, replayJSON) {
-		return nil, fmt.Errorf("replay bench: replayed profile differs from the recording's")
 	}
 
 	// Diff: an identical pair, compared via the Merkle footers alone vs the
@@ -120,26 +79,54 @@ func ReplayBench(sw Sweep, now func() int64) (*ReplayBenchResult, error) {
 	if err := os.WriteFile(newPath, buf.Bytes(), 0o644); err != nil {
 		return nil, err
 	}
+
+	liveJSON, err := live.JSON()
+	if err != nil {
+		return nil, err
+	}
+	var replayed *algoprof.Profile
 	var md, fd *trace.TraceDiff
-	if res.DiffMerkleNs, err = bestOf(reps, now, func() error {
-		md, err = trace.DiffTraceFiles(oldPath, newPath)
-		return err
-	}); err != nil {
+	identical := func() error {
+		replayJSON, err := replayed.JSON()
+		if err != nil {
+			return err
+		}
+		if !bytes.Equal(liveJSON, replayJSON) {
+			return fmt.Errorf("replay bench: replayed profile differs from the recording's")
+		}
+		if !md.Identical || !fd.Identical {
+			return fmt.Errorf("replay bench: identical traces diffed as changed (merkle=%v full=%v)", md.Identical, fd.Identical)
+		}
+		return nil
+	}
+	t, err := timeLegs(replayRounds, now, identical,
+		leg{"replay", func() error { return r.Replay(func(*pipeline.Record) {}) }},
+		leg{"profile-replay", func() (err error) {
+			replayed, err = algoprof.ReplayProgram(prog, cfg, r)
+			return err
+		}},
+		leg{"diff-merkle", func() (err error) {
+			md, err = trace.DiffTraceFiles(oldPath, newPath)
+			return err
+		}},
+		leg{"diff-full", func() (err error) {
+			fd, err = trace.DiffTraceFilesFull(oldPath, newPath)
+			return err
+		}},
+	)
+	if err != nil {
 		return nil, err
 	}
-	if res.DiffFullNs, err = bestOf(reps, now, func() error {
-		fd, err = trace.DiffTraceFilesFull(oldPath, newPath)
-		return err
-	}); err != nil {
-		return nil, err
-	}
-	if !md.Identical || !fd.Identical {
-		return nil, fmt.Errorf("replay bench: identical traces diffed as changed (merkle=%v full=%v)", md.Identical, fd.Identical)
-	}
-	res.DiffMerkleBytes = md.BytesReadOld + md.BytesReadNew
-	res.DiffFullBytes = fd.BytesReadOld + fd.BytesReadNew
-	if res.DiffMerkleNs > 0 {
-		res.DiffSpeedup = float64(res.DiffFullNs) / float64(res.DiffMerkleNs)
-	}
-	return res, nil
+	return &ReplayBenchResult{
+		Frames:          r.NumFrames(),
+		Records:         r.Stats().Records,
+		TraceBytes:      int64(buf.Len()),
+		ReplayNs:        t.ns("replay"),
+		ProfileReplayNs: t.ns("profile-replay"),
+		DiffMerkleNs:    t.ns("diff-merkle"),
+		DiffFullNs:      t.ns("diff-full"),
+		DiffMerkleBytes: md.BytesReadOld + md.BytesReadNew,
+		DiffFullBytes:   fd.BytesReadOld + fd.BytesReadNew,
+		DiffSpeedup:     t.ratio("diff-full", "diff-merkle"),
+	}, nil
 }

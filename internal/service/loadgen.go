@@ -6,13 +6,14 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
-	"sort"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"algoprof/internal/benchfile"
+	"algoprof/internal/faultinject"
 	"algoprof/internal/workloads"
 )
 
@@ -44,27 +45,65 @@ type LoadConfig struct {
 	Logf func(format string, args ...any)
 }
 
+// Outcomes tallies a benchmark's jobs by terminal status. Loadgen and
+// the distributed benchmark both count with it and gate on its Check.
+type Outcomes struct {
+	Jobs     int `json:"jobs"`
+	OK       int `json:"ok"`
+	Degraded int `json:"degraded"`
+	Failed   int `json:"failed"`
+	// Lost counts jobs that never reached a terminal status.
+	Lost int `json:"lost"`
+	// Untyped counts failed jobs missing an error kind or class, or
+	// classed unknown.
+	Untyped int `json:"untyped_failures"`
+}
+
+// Add counts one job by its status and, for a failure, its error kind
+// and class. A status that is not terminal counts as lost.
+func (o *Outcomes) Add(status JobStatus, kind, class string) {
+	switch status {
+	case StatusOK:
+		o.OK++
+	case StatusDegraded:
+		o.Degraded++
+	case StatusFailed:
+		o.Failed++
+		if kind == "" || class == "" || class == faultinject.Unknown.String() {
+			o.Untyped++
+		}
+	default:
+		o.Lost++
+	}
+}
+
+// Check returns the tally's violations, empty when it passes: every job
+// terminated ok, degraded or typed-failed, the counts sum to the jobs,
+// and at least one job succeeded.
+func (o *Outcomes) Check() []string {
+	var bad []string
+	if o.Lost != 0 {
+		bad = append(bad, fmt.Sprintf("%d jobs lost (every job must terminate ok/degraded/typed-failed)", o.Lost))
+	}
+	if o.Untyped != 0 {
+		bad = append(bad, fmt.Sprintf("%d failed jobs without a typed error kind/class", o.Untyped))
+	}
+	if got := o.OK + o.Degraded + o.Failed + o.Lost; got != o.Jobs {
+		bad = append(bad, fmt.Sprintf("status counts sum to %d, want %d", got, o.Jobs))
+	}
+	if o.OK == 0 {
+		bad = append(bad, "no job succeeded")
+	}
+	return bad
+}
+
 // LoadReport is the load run's result — what algoprofd loadgen writes to
 // BENCH_service.json.
 type LoadReport struct {
-	GeneratedUnix int64 `json:"generated_unix"`
-	GoMaxProcs    int   `json:"gomaxprocs"`
-
-	Jobs        int `json:"jobs"`
+	Outcomes
 	Concurrency int `json:"concurrency"`
 	Tenants     int `json:"tenants"`
 
-	// Terminal-status counts. OK+Degraded+Failed must equal Jobs: no job
-	// is lost.
-	OK       int64 `json:"ok"`
-	Degraded int64 `json:"degraded"`
-	Failed   int64 `json:"failed"`
-	// Lost counts jobs that never reached a terminal status — the gate
-	// requires 0.
-	Lost int64 `json:"lost"`
-	// UntypedFailures counts failed jobs missing an error kind or
-	// classifying unknown — the gate requires 0.
-	UntypedFailures int64 `json:"untyped_failures"`
 	// RetriedSubmits counts typed quota/overload rejections that were
 	// retried (backpressure working as designed, not an error). A retried
 	// job still counts exactly once in Jobs and JobsPerSec — retries are
@@ -77,13 +116,11 @@ type LoadReport struct {
 	SubmitAttempts    int64 `json:"submit_attempts"`
 	MaxSubmitAttempts int64 `json:"max_submit_attempts"`
 
-	WallMs     int64   `json:"wall_ms"`
 	JobsPerSec float64 `json:"jobs_per_sec"`
 
-	// End-to-end latency (submit to terminal response) percentiles.
-	LatencyP50Ms float64 `json:"latency_p50_ms"`
-	LatencyP95Ms float64 `json:"latency_p95_ms"`
-	LatencyP99Ms float64 `json:"latency_p99_ms"`
+	// LatencyMs summarizes end-to-end latency, submit to terminal
+	// response.
+	LatencyMs benchfile.Summary `json:"latency_ms"`
 
 	// MaxQueueDepth is the deepest /v1/stats queue observed while the
 	// run was in flight.
@@ -214,10 +251,9 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (*LoadReport, error) {
 	samplerWG.Wait()
 
 	rep := &LoadReport{
-		Jobs:          cfg.Jobs,
+		Outcomes:      Outcomes{Jobs: cfg.Jobs},
 		Concurrency:   cfg.Concurrency,
 		Tenants:       cfg.Tenants,
-		WallMs:        wall.Milliseconds(),
 		MaxQueueDepth: int(maxQueue.Load()),
 	}
 	var lat []float64
@@ -234,27 +270,12 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (*LoadReport, error) {
 			continue
 		}
 		lat = append(lat, float64(r.latency.Microseconds())/1000)
-		switch r.status {
-		case StatusOK:
-			rep.OK++
-		case StatusDegraded:
-			rep.Degraded++
-		case StatusFailed:
-			rep.Failed++
-			if r.errKind == "" || r.errClass == "" || r.errClass == "unknown" {
-				rep.UntypedFailures++
-			}
-		default:
-			rep.Lost++
-		}
+		rep.Add(r.status, r.errKind, r.errClass)
 	}
 	if wall > 0 {
-		rep.JobsPerSec = float64(cfg.Jobs-int(rep.Lost)) / wall.Seconds()
+		rep.JobsPerSec = float64(cfg.Jobs-rep.Lost) / wall.Seconds()
 	}
-	sort.Float64s(lat)
-	rep.LatencyP50Ms = percentile(lat, 50)
-	rep.LatencyP95Ms = percentile(lat, 95)
-	rep.LatencyP99Ms = percentile(lat, 99)
+	rep.LatencyMs = benchfile.Summarize(lat)
 	return rep, nil
 }
 
@@ -330,49 +351,22 @@ func runOneLoadJob(ctx context.Context, client *http.Client, cfg LoadConfig, i i
 	}
 }
 
-// percentile returns the p-th percentile of sorted values (nearest-rank).
-func percentile(sorted []float64, p float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	rank := int(math.Ceil(p / 100 * float64(len(sorted))))
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > len(sorted) {
-		rank = len(sorted)
-	}
-	return sorted[rank-1]
-}
-
 // CheckLoadReport gates a load run the way `paper bench -check` gates the
 // perf benchmarks: structural invariants always hold, the throughput bar
 // applies only against a baseline and only off single-core runners (where
 // scheduling noise would make it flaky). It returns the violated
 // invariants, empty when the run passes.
 func CheckLoadReport(rep, baseline *LoadReport) []string {
-	var bad []string
-	if rep.Lost != 0 {
-		bad = append(bad, fmt.Sprintf("%d jobs lost (every job must terminate ok/degraded/typed-failed)", rep.Lost))
-	}
-	if rep.UntypedFailures != 0 {
-		bad = append(bad, fmt.Sprintf("%d failed jobs without a typed error kind/class", rep.UntypedFailures))
-	}
-	if got := rep.OK + rep.Degraded + rep.Failed + rep.Lost; got != int64(rep.Jobs) {
-		bad = append(bad, fmt.Sprintf("status counts sum to %d, want %d", got, rep.Jobs))
-	}
-	if rep.OK == 0 {
-		bad = append(bad, "no job succeeded")
-	}
+	bad := rep.Outcomes.Check()
 	if rep.Lost == 0 && rep.SubmitAttempts != int64(rep.Jobs)+rep.RetriedSubmits {
 		bad = append(bad, fmt.Sprintf("submit attempts %d != jobs %d + retries %d (retried jobs must count once)",
 			rep.SubmitAttempts, rep.Jobs, rep.RetriedSubmits))
 	}
-	if rep.LatencyP50Ms > rep.LatencyP99Ms {
-		bad = append(bad, fmt.Sprintf("p50 %.1fms > p99 %.1fms", rep.LatencyP50Ms, rep.LatencyP99Ms))
+	if l := rep.LatencyMs; l.Median > l.Q3 {
+		bad = append(bad, fmt.Sprintf("latency median %.1fms > q3 %.1fms", l.Median, l.Q3))
 	}
-	if baseline != nil && rep.GoMaxProcs > 1 && baseline.JobsPerSec > 0 {
-		// Generous 4x regression bar, same spirit as BENCH_replay gates.
+	if baseline != nil && runtime.GOMAXPROCS(0) > 1 && baseline.JobsPerSec > 0 {
+		// A generous 4x regression bar.
 		if rep.JobsPerSec < baseline.JobsPerSec/4 {
 			bad = append(bad, fmt.Sprintf("throughput %.1f jobs/s < baseline %.1f/4", rep.JobsPerSec, baseline.JobsPerSec))
 		}
