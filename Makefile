@@ -22,16 +22,16 @@ test:
 # Concurrency-sensitive packages under the race detector: the event
 # transport and the core profiler (its event counter is read from other
 # goroutines mid-run), the probe API (one session per goroutine), the VM
-# (spawn/join thread goroutines), the experiments worker pool that the
-# snapshot registry runs inside, the trace subsystem (the store's
-# concurrent-record reservation; the fleet differ on the worker pool), the
-# daemon, the distributed dispatcher (lease timers, breaker state, and
-# worker keyed locks race against heartbeat streams), the chaos sweeps (the
-# daemon and distributed targets crash workers and revoke leases
-# mid-stream), and the root package (the events/paths equivalence suite and
-# the threaded transport-equivalence gate, which runs ≥2 concurrent
-# per-thread producers, each with its own transport). Vet runs first so
-# the leg is self-contained in CI.
+# (spawn/join thread goroutines), the daemon's job pool (experiments.Pool),
+# the trace subsystem (the store's concurrent-record reservation; the
+# fleet differ's per-core comparison workers), the daemon, the distributed
+# dispatcher (lease timers, breaker state, and worker keyed locks race
+# against heartbeat streams), the chaos sweeps (the daemon and distributed
+# targets crash workers and revoke leases mid-stream), and the root
+# package (the events/paths equivalence suite and the threaded
+# transport-equivalence gate, which runs ≥2 concurrent per-thread
+# producers, each with its own transport). Vet runs first so the leg is
+# self-contained in CI.
 race:
 	$(GO) vet ./...
 	$(GO) test -race . ./internal/events/... ./internal/core ./internal/vm ./internal/experiments/... ./internal/trace/... ./internal/service ./internal/dispatch ./internal/chaos ./probe
@@ -40,8 +40,8 @@ race:
 # committed tree (`go build` stamps the commit into each file's header;
 # `go run` would not): BENCH_overhead.json (instrumentation overhead +
 # memo ablation), BENCH_pipeline.json (event-transport configurations) and
-# BENCH_replay.json (sequential trace and profile replay + Merkle diff),
-# timed at -j 1; BENCH_dispatch.json (crash-0/1/2 legs through the
+# BENCH_replay.json (sequential trace and profile replay, and the bytes the
+# footer diff reads); BENCH_dispatch.json (crash-0/1/2 legs through the
 # distributed dispatch stack); and BENCH_service.json (a real daemon on a
 # local port hammered with 1000 concurrent jobs across 4 tenants). Both
 # daemon benchmarks gate on zero lost jobs and zero untyped failures. The
@@ -51,7 +51,7 @@ bench:
 	dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
 	$(GO) build -o "$$dir/paper" ./cmd/paper && \
 	$(GO) build -o "$$dir/algoprofd" ./cmd/algoprofd && \
-	"$$dir/paper" -j 1 bench -out BENCH_overhead.json -pipeline-out BENCH_pipeline.json -replay-out BENCH_replay.json && \
+	"$$dir/paper" bench -out BENCH_overhead.json -pipeline-out BENCH_pipeline.json -replay-out BENCH_replay.json && \
 	"$$dir/algoprofd" distbench -out BENCH_dispatch.json -check || exit $$?; \
 	"$$dir/algoprofd" serve -addr 127.0.0.1:7171 -store "$$dir/store" & \
 	APD=$$!; sleep 1; \
@@ -65,7 +65,7 @@ bench:
 # median recorded in BENCH_overhead.json by more than 7%.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime=1x ./...
-	$(GO) run ./cmd/paper -j 1 bench -check
+	$(GO) run ./cmd/paper bench -check
 
 # The repository benchmark's self-test. perfbench is a Go module of its
 # own, so `make test` does not reach it: a short pass of every workload,

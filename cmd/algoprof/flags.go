@@ -52,15 +52,6 @@ func parseFrameRange(spec string, frames int) (lo, hi int, err error) {
 	return lo, hi, nil
 }
 
-// validateWorkers validates a -j worker count: 0 means all cores,
-// positive bounds the pool, negative is meaningless.
-func validateWorkers(j int) error {
-	if j < 0 {
-		return usagef("bad -j %d: want 0 (all cores) or a positive worker count", j)
-	}
-	return nil
-}
-
 // chaosTarget validates a chaos -target name.
 func chaosTarget(name string) (chaos.Target, error) {
 	switch t := chaos.Target(name); t {

@@ -56,32 +56,6 @@ func TestParseFrameRange(t *testing.T) {
 	}
 }
 
-func TestValidateWorkers(t *testing.T) {
-	tests := []struct {
-		j       int
-		wantErr bool
-	}{
-		{j: 0},  // documented: all cores
-		{j: 1},  // one worker
-		{j: 16}, // bounded pool
-		{j: -1, wantErr: true},
-		{j: -8, wantErr: true},
-	}
-	for _, tc := range tests {
-		err := validateWorkers(tc.j)
-		if !tc.wantErr {
-			if err != nil {
-				t.Fatalf("validateWorkers(%d) error: %v", tc.j, err)
-			}
-			continue
-		}
-		var ue *usageError
-		if !errors.As(err, &ue) {
-			t.Fatalf("validateWorkers(%d) = %v, want *usageError", tc.j, err)
-		}
-	}
-}
-
 func TestChaosTarget(t *testing.T) {
 	for _, name := range []string{"lib", "service", "dist"} {
 		if got, err := chaosTarget(name); err != nil || string(got) != name {

@@ -8,7 +8,7 @@
 //	algoprof record [-store DIR] [-name NAME] [-workload LABEL] [profiling flags] prog.mj
 //	algoprof replay [-store DIR] [-json] NAME
 //	algoprof diff   [-store DIR] OLD NEW
-//	algoprof fleetdiff [-store DIR] [-json] [-j N] [-tenant T] BASELINE [RUN...]
+//	algoprof fleetdiff [-store DIR] [-json] [-tenant T] BASELINE [RUN...]
 //	algoprof runs   [-store DIR] [-tenant T]
 //	algoprof chaos  [-target lib|service|dist] [-seeds N] [-base-seed N] [-dir DIR] [-v]
 //	algoprof verify DIR
@@ -46,7 +46,6 @@ import (
 
 	"algoprof"
 	"algoprof/internal/chaos"
-	"algoprof/internal/experiments"
 	"algoprof/internal/focus"
 	"algoprof/internal/trace"
 	"algoprof/internal/trace/store"
@@ -365,25 +364,20 @@ func renderTraceDiff(td *trace.TraceDiff) string {
 }
 
 // cmdFleetDiff compares one baseline run's trace against every other run in
-// the store (or an explicit run list), in parallel on the experiments
-// worker pool. Exit status 1 when any comparison failed.
+// the store (or an explicit run list), one comparison per core at a time.
+// Exit status 1 when any comparison failed.
 func cmdFleetDiff(args []string) {
 	fs := flag.NewFlagSet("algoprof fleetdiff", flag.ExitOnError)
 	dir := fs.String("store", "traces", "trace store directory")
 	jsonOut := fs.Bool("json", false, "emit the fleet report as JSON")
-	workers := fs.Int("j", 0, "bound the comparison worker pool (0 = all cores)")
 	tenant := fs.String("tenant", "", "scope the fleet expansion to one tenant's runs (empty = all)")
 	fs.Parse(args)
 
 	if fs.NArg() < 1 {
-		fmt.Fprintln(os.Stderr, "usage: algoprof fleetdiff [-store DIR] [-json] [-j N] [-tenant T] BASELINE [RUN...]")
+		fmt.Fprintln(os.Stderr, "usage: algoprof fleetdiff [-store DIR] [-json] [-tenant T] BASELINE [RUN...]")
 		fs.PrintDefaults()
 		os.Exit(2)
 	}
-	if err := validateWorkers(*workers); err != nil {
-		fatalUsage(err)
-	}
-	experiments.SetParallelism(*workers)
 	s, err := store.Open(*dir)
 	if err != nil {
 		fatal(err)

@@ -3,12 +3,12 @@
 //
 // Usage:
 //
-//	paper [-j N] [fig1|fig2|fig3|table1|fig4|fig5|paradigm|listing3|listing4|listing5|overhead|goldsmith|ablations|crossover|compare|all]
+//	paper [-deadline D] [fig1|fig2|fig3|table1|fig4|fig5|paradigm|listing3|listing4|listing5|overhead|goldsmith|ablations|crossover|compare|all]
 //	paper bench [-out BENCH_overhead.json] [-pipeline-out BENCH_pipeline.json]
 //	            [-replay-out BENCH_replay.json] [-check]
 //
-// -j bounds the worker pool used for sweep points and, under "all", for
-// whole sections; output ordering is deterministic for every -j. The
+// Sections run one after another, and every sweep point within a section
+// in order, so each timing is taken with nothing else running. The
 // bench subcommand writes machine-readable overhead/sweep timings
 // (including the snapshot-memoization ablation) for perf tracking, the
 // event-transport benchmark (three dedicated passes vs one fan-out pass,
@@ -19,13 +19,11 @@ package main
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"sync"
 	"time"
 
 	"algoprof"
@@ -47,23 +45,13 @@ func main() {
 	step := flag.Int("step", sweep.Step, "size step in sweeps")
 	reps := flag.Int("reps", sweep.Reps, "repetitions per size")
 	seed := flag.Uint64("seed", sweep.Seed, "random seed")
-	jobs := flag.Int("j", 0, "parallel sweep workers (0 = GOMAXPROCS)")
-	deadline := flag.Duration("deadline", 0, "stop sweeps after this wall-clock budget; finished sections still print (0 = unlimited)")
+	deadline := flag.Duration("deadline", 0,
+		"start no section once this wall-clock budget is spent; finished sections still print (0 = unlimited)")
 	flag.StringVar(&traceOut, "trace-out", "",
 		"capture the compare section's combined pass as a trace file for offline replay")
 	flag.Parse()
-	if *jobs < 0 {
-		fmt.Fprintf(os.Stderr, "paper: bad -j %d: want 0 (GOMAXPROCS) or a positive worker count\n", *jobs)
-		flag.Usage()
-		os.Exit(2)
-	}
 	sweep = experiments.Sweep{MaxSize: *maxSize, Step: *step, Reps: *reps, Seed: *seed}
-	experiments.SetParallelism(*jobs)
-	if *deadline > 0 {
-		ctx, cancel := context.WithTimeout(context.Background(), *deadline)
-		defer cancel()
-		experiments.SetContext(ctx)
-	}
+	start := time.Now()
 
 	what := "all"
 	if flag.NArg() > 0 {
@@ -96,47 +84,24 @@ func main() {
 		"listing3", "listing4", "listing5", "overhead", "goldsmith", "ablations",
 		"crossover", "compare"}
 
+	names := []string{what}
 	if what == "all" {
-		if err := runAll(order, sections); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	fn, ok := sections[what]
-	if !ok {
+		names = order
+	} else if _, ok := sections[what]; !ok {
 		fmt.Fprintf(os.Stderr, "unknown section %q; options: %v, bench, or all\n", what, order)
 		os.Exit(2)
 	}
-	if err := fn(os.Stdout); err != nil {
-		fatal(err)
-	}
-}
-
-// runAll executes every section concurrently (bounded by the worker-pool
-// parallelism), buffering each section's output so the printed order is
-// the paper's order regardless of completion order.
-func runAll(order []string, sections map[string]func(io.Writer) error) error {
-	bufs := make([]bytes.Buffer, len(order))
-	errs := make([]error, len(order))
-	sem := make(chan struct{}, experiments.Parallelism())
-	var wg sync.WaitGroup
-	for i, name := range order {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			errs[i] = sections[name](&bufs[i])
-		}()
-	}
-	wg.Wait()
-	for i := range order {
-		if errs[i] != nil {
-			return errs[i]
+	for _, name := range names {
+		if *deadline > 0 && time.Since(start) > *deadline {
+			fatal(fmt.Errorf("-deadline spent before section %s", name))
 		}
-		os.Stdout.Write(bufs[i].Bytes())
+		// A section that fails prints nothing, and the run stops there.
+		var buf bytes.Buffer
+		if err := sections[name](&buf); err != nil {
+			fatal(err)
+		}
+		os.Stdout.Write(buf.Bytes())
 	}
-	return nil
 }
 
 func header(w io.Writer, s string) {
@@ -347,7 +312,7 @@ func compare(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "workload executions needed: %d (was 3 before the pipelined transport)\n", res.Passes)
+	fmt.Fprintf(w, "workload executions needed: %d\n", res.Passes)
 	fmt.Fprintf(w, "algorithmic profile: sort steps ≈ %.3g*%s\n", res.SortCoeff, res.SortModel)
 	fmt.Fprintf(w, "CCT baseline:        hottest method (exclusive) %s\n", res.HottestExclusive)
 	fmt.Fprintf(w, "basic-block baseline: hottest block %s\n", res.TopBlock)
@@ -404,10 +369,9 @@ func captureTrace(w io.Writer) error {
 // -check gates on) and the snapshot-memoization ablation sweep.
 type overheadReport struct {
 	benchfile.Header
-	Parallelism int                             `json:"parallelism"`
-	Sweep       experiments.Sweep               `json:"sweep"`
-	Modes       *experiments.ModeOverheadResult `json:"mode_overhead"`
-	Points      []experiments.OverheadPoint     `json:"overhead_sweep"`
+	Sweep  experiments.Sweep               `json:"sweep"`
+	Modes  *experiments.ModeOverheadResult `json:"mode_overhead"`
+	Points []experiments.OverheadPoint     `json:"overhead_sweep"`
 }
 
 // pipelineReport is BENCH_pipeline.json: three dedicated passes vs one
@@ -419,12 +383,11 @@ type pipelineReport struct {
 }
 
 // replayReport is BENCH_replay.json: raw trace replay, end-to-end profile
-// replay (asserted identical to the recording's profile), and the
-// Merkle-indexed diff against the full scan it replaces.
+// replay (asserted identical to the recording's profile), and the bytes
+// the footer diff reads against the full scan it replaces.
 type replayReport struct {
 	benchfile.Header
-	Parallelism int    `json:"parallelism"`
-	Seed        uint64 `json:"seed"`
+	Seed uint64 `json:"seed"`
 	*experiments.ReplayBenchResult
 }
 
@@ -450,7 +413,7 @@ func bench(args []string) error {
 		return benchCheck(*out, now)
 	}
 	if *out != "" {
-		rep := overheadReport{Parallelism: experiments.Parallelism(), Sweep: sweep}
+		rep := overheadReport{Sweep: sweep}
 		var err error
 		if rep.Modes, err = experiments.ModeOverhead(sweep, now); err != nil {
 			return err
@@ -477,9 +440,9 @@ func bench(args []string) error {
 		if err != nil {
 			return err
 		}
-		rep := replayReport{Parallelism: experiments.Parallelism(), Seed: sweep.Seed, ReplayBenchResult: res}
-		return writeReport(*replayOut, &rep, fmt.Sprintf("replay %v, profile replay %v over %d frames, diff %.1fx",
-			time.Duration(res.ReplayNs.Median), time.Duration(res.ProfileReplayNs.Median), res.Frames, res.DiffSpeedup.Median))
+		rep := replayReport{Seed: sweep.Seed, ReplayBenchResult: res}
+		return writeReport(*replayOut, &rep, fmt.Sprintf("replay %v, profile replay %v over %d frames, diff read %d of %d bytes",
+			time.Duration(res.ReplayNs.Median), time.Duration(res.ProfileReplayNs.Median), res.Frames, res.DiffMerkleBytes, res.DiffFullBytes))
 	}
 	return nil
 }

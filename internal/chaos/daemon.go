@@ -206,7 +206,7 @@ func (tr *trial) settle(svc *service.Service, storeDir string, ids []string, fin
 			res.Outcome = Failed
 			res.Class = faultinject.ParseClass(v.ErrorClass)
 			res.Err = v.Error
-			if res.Class == faultinject.Unknown || v.ErrorKind == "" {
+			if !service.TypedFailure(v.ErrorKind, v.ErrorClass) {
 				tr.violation("job %s failed untyped: kind=%q class=%q err=%s", id, v.ErrorKind, v.ErrorClass, v.Error)
 			}
 		}

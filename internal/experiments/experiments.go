@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"math"
 	"strings"
-	"sync"
 
 	"algoprof"
 	"algoprof/internal/bbprof"
@@ -89,16 +88,17 @@ func Figure1(order workloads.Order, sw Sweep) (*Figure1Result, error) {
 }
 
 // Figure1All regenerates all three Figure 1 panels (random, sorted,
-// reversed input), running the independent panels on the worker pool.
+// reversed input).
 func Figure1All(sw Sweep) ([]*Figure1Result, error) {
-	orders := []workloads.Order{workloads.Random, workloads.Sorted, workloads.Reversed}
-	out := make([]*Figure1Result, len(orders))
-	err := forEachIndex(len(orders), func(i int) error {
-		res, err := Figure1(orders[i], sw)
-		out[i] = res
-		return err
-	})
-	return out, err
+	var out []*Figure1Result
+	for _, order := range []workloads.Order{workloads.Random, workloads.Sorted, workloads.Reversed} {
+		res, err := Figure1(order, sw)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, res)
+	}
+	return out, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -197,22 +197,16 @@ type Table1Outcome struct {
 	Result workloads.RowResult
 }
 
-// Table1 evaluates all 18 rows at the given structure size. The rows are
-// independent profiling runs and execute on the worker pool; the outcome
-// order matches the paper's row order regardless of the worker count.
+// Table1 evaluates all 18 rows at the given structure size, in the
+// paper's row order.
 func Table1(size int, seed uint64) ([]Table1Outcome, error) {
-	rows := workloads.Table1()
-	out := make([]Table1Outcome, len(rows))
-	err := forEachIndex(len(rows), func(i int) error {
-		res, err := workloads.EvaluateRow(rows[i], size, seed)
+	var out []Table1Outcome
+	for _, row := range workloads.Table1() {
+		res, err := workloads.EvaluateRow(row, size, seed)
 		if err != nil {
-			return fmt.Errorf("table1 %s: %w", rows[i].Name(), err)
+			return nil, fmt.Errorf("table1 %s: %w", row.Name(), err)
 		}
-		out[i] = Table1Outcome{Row: rows[i], Result: res}
-		return nil
-	})
-	if err != nil {
-		return nil, err
+		out = append(out, Table1Outcome{Row: row, Result: res})
 	}
 	return out, nil
 }
@@ -254,22 +248,18 @@ type Figure45Result struct {
 	Grouped bool
 }
 
-// Figure45 profiles Listing 6 under both growth strategies; the two
-// independent strategy runs execute on the worker pool.
+// Figure45 profiles Listing 6 under both growth strategies.
 func Figure45(sw Sweep) (*Figure45Result, error) {
 	res := &Figure45Result{Grouped: true}
-	var mu sync.Mutex
-	strategies := []bool{true, false}
-	err := forEachIndex(len(strategies), func(i int) error {
-		naive := strategies[i]
+	for _, naive := range []bool{true, false} {
 		prof, err := algoprof.Run(workloads.ArrayListGrow(naive, sw.MaxSize, sw.Step, sw.Reps),
 			algoprof.Config{Seed: sw.Seed})
 		if err != nil {
-			return err
+			return nil, err
 		}
 		alg := prof.Find("Main.testForSize/loop1")
 		if alg == nil {
-			return fmt.Errorf("figure45(naive=%v): append algorithm not found", naive)
+			return nil, fmt.Errorf("figure45(naive=%v): append algorithm not found", naive)
 		}
 		hasGrow := false
 		for _, n := range alg.Nodes {
@@ -278,15 +268,13 @@ func Figure45(sw Sweep) (*Figure45Result, error) {
 			}
 		}
 		if len(alg.CostFunctions) == 0 {
-			return fmt.Errorf("figure45(naive=%v): no cost function", naive)
+			return nil, fmt.Errorf("figure45(naive=%v): no cost function", naive)
 		}
 		cf := alg.CostFunctions[0]
 		plot, err := prof.PlotAlgorithm("Main.testForSize/loop1", cf.InputLabel, 64, 14)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		mu.Lock()
-		defer mu.Unlock()
 		if !hasGrow {
 			res.Grouped = false
 		}
@@ -296,10 +284,6 @@ func Figure45(sw Sweep) (*Figure45Result, error) {
 		} else {
 			res.IdealModel, res.IdealCoeff, res.IdealPlot = cf.Model, cf.Coeff, plot
 		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	return res, nil
 }
@@ -342,21 +326,14 @@ type ParadigmResult struct {
 }
 
 // Paradigm profiles both implementations on random inputs and compares
-// their algorithmic profiles. The imperative and functional runs are
-// independent and execute on the worker pool.
+// their algorithmic profiles.
 func Paradigm(sw Sweep) (*ParadigmResult, error) {
-	var imp *Figure1Result
-	var prof *algoprof.Profile
-	err := forEachIndex(2, func(i int) error {
-		var err error
-		if i == 0 {
-			imp, err = Figure1(workloads.Random, sw)
-		} else {
-			prof, err = algoprof.Run(workloads.FunctionalSort(workloads.Random, sw.MaxSize, sw.Step, sw.Reps),
-				algoprof.Config{Seed: sw.Seed})
-		}
-		return err
-	})
+	imp, err := Figure1(workloads.Random, sw)
+	if err != nil {
+		return nil, err
+	}
+	prof, err := algoprof.Run(workloads.FunctionalSort(workloads.Random, sw.MaxSize, sw.Step, sw.Reps),
+		algoprof.Config{Seed: sw.Seed})
 	if err != nil {
 		return nil, err
 	}
@@ -497,30 +474,21 @@ type GoldsmithResult struct {
 
 // Goldsmith runs the basic-block baseline over a size sweep of single-sort
 // programs, supplying the input sizes manually as the FSE'07 approach
-// requires. The sweep points are independent runs on the worker pool.
+// requires.
 func Goldsmith(sw Sweep) (*GoldsmithResult, error) {
-	var sizes []int
+	var runs []bbprof.Run
 	for size := 4; size < sw.MaxSize; size += sw.Step {
-		sizes = append(sizes, size)
-	}
-	runs := make([]bbprof.Run, len(sizes))
-	err := forEachIndex(len(sizes), func(i int) error {
-		size := sizes[i]
 		src := workloads.RunningExample(workloads.Random, size+1, max(size, 1), 1)
 		prog, err := compiler.CompileSource(src)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		p := bbprof.New(prog)
 		machine := vm.New(prog, vm.Config{InstrHook: p.Hook, Seed: sw.Seed})
 		if err := machine.Run(); err != nil {
-			return err
+			return nil, err
 		}
-		runs[i] = p.Snapshot(size)
-		return nil
-	})
-	if err != nil {
-		return nil, err
+		runs = append(runs, p.Snapshot(size))
 	}
 	if len(runs) < 3 {
 		return nil, fmt.Errorf("goldsmith: need at least 3 runs")
@@ -751,18 +719,15 @@ const sweepRounds = 3
 // (RunningExampleScanned) on sorted input: sorted input keeps the sort's
 // write-heavy phase linear (a written structure must be re-traversed in
 // both modes), so the repeated read-only scans — the regime incremental
-// snapshots target — carry the snapshot cost. The sweep points are
-// independent and run on the worker pool; each point's
-// plain/profiled/no-memo legs stay sequential so its ratios compare like
-// with like.
+// snapshots target — carry the snapshot cost. The sizes run one after
+// another, so no point's legs share the machine with another point's.
 func OverheadSweep(sizes []int, seed uint64, now func() int64) ([]OverheadPoint, error) {
-	out := make([]OverheadPoint, len(sizes))
-	err := forEachIndex(len(sizes), func(i int) error {
-		size := sizes[i]
+	var out []OverheadPoint
+	for _, size := range sizes {
 		src := workloads.RunningExampleScanned(workloads.Sorted, size+1, max(size, 1), 2, 4*size)
 		prog, err := compiler.CompileSource(src)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		profiled := func(cfg algoprof.Config) func() error {
 			return func() error {
@@ -776,9 +741,9 @@ func OverheadSweep(sizes []int, seed uint64, now func() int64) ([]OverheadPoint,
 			leg{"no-memo", profiled(algoprof.Config{Seed: seed, DisableMemo: true})},
 		)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		out[i] = OverheadPoint{
+		out = append(out, OverheadPoint{
 			Size:           size,
 			PlainNs:        r.ns("plain"),
 			ProfiledNs:     r.ns("profiled"),
@@ -786,11 +751,7 @@ func OverheadSweep(sizes []int, seed uint64, now func() int64) ([]OverheadPoint,
 			Slowdown:       r.ratio("profiled", "plain"),
 			NoMemoSlowdown: r.ratio("no-memo", "plain"),
 			MemoSpeedup:    r.ratio("no-memo", "profiled"),
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
+		})
 	}
 	return out, nil
 }

@@ -45,40 +45,6 @@ func TestMemoAblationProfilesIdentical(t *testing.T) {
 	}
 }
 
-// Sweeps must produce identical results regardless of the worker count.
-func TestParallelSweepDeterministic(t *testing.T) {
-	sw := Sweep{MaxSize: 48, Step: 6, Reps: 2, Seed: 42}
-	type outcome struct {
-		fig1   string
-		table1 string
-	}
-	runAt := func(workers int) outcome {
-		SetParallelism(workers)
-		defer SetParallelism(0)
-		figs, err := Figure1All(sw)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var fig1 string
-		for _, f := range figs {
-			fig1 += f.Order.String() + ": " + f.Text + "\n"
-		}
-		outcomes, err := Table1(16, 7)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return outcome{fig1: fig1, table1: RenderTable1(outcomes)}
-	}
-	serial := runAt(1)
-	parallel := runAt(4)
-	if serial.fig1 != parallel.fig1 {
-		t.Errorf("Figure 1 differs by worker count:\n-j1:\n%s\n-j4:\n%s", serial.fig1, parallel.fig1)
-	}
-	if serial.table1 != parallel.table1 {
-		t.Errorf("Table 1 differs by worker count:\n-j1:\n%s\n-j4:\n%s", serial.table1, parallel.table1)
-	}
-}
-
 // The ablation sweep must show the memo reducing the profiling slowdown on
 // the scan-heavy workload (the acceptance bar for the optimization). Noise
 // margins are deliberately loose; the observed gap is ≈2x.

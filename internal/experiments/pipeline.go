@@ -172,14 +172,13 @@ const pipelineRounds = 7
 // regime, where the core's snapshot traversals dominate every
 // configuration, is covered by the overhead sweep (BENCH_overhead.json).
 func PipelineBench(sizes []int, seed uint64, now func() int64) ([]PipelinePoint, error) {
-	out := make([]PipelinePoint, len(sizes))
-	err := forEachIndex(len(sizes), func(i int) error {
-		size := sizes[i]
+	var out []PipelinePoint
+	for _, size := range sizes {
 		passes := 8 * size
 		src := workloads.RunningExampleScanned(workloads.Random, size+1, max(size, 1), 2, passes)
 		prog, err := compiler.CompileSource(src)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		identical := true
 		var dedicated, fan *algoprof.Profile
@@ -208,9 +207,9 @@ func PipelineBench(sizes []int, seed uint64, now func() int64) ([]PipelinePoint,
 			}},
 		)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		out[i] = PipelinePoint{
+		out = append(out, PipelinePoint{
 			Size:         size,
 			Passes:       passes,
 			ThreePassNs:  r.ns("three-pass"),
@@ -218,11 +217,7 @@ func PipelineBench(sizes []int, seed uint64, now func() int64) ([]PipelinePoint,
 			SoloSyncNs:   r.ns("solo"),
 			Speedup:      r.ratio("three-pass", "fan-out"),
 			Identical:    identical,
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
+		})
 	}
 	return out, nil
 }

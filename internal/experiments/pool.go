@@ -1,12 +1,8 @@
-// Persistent worker pool. forEachIndex (parallel.go) spins workers up per
-// sweep and tears them down when the sweep returns — the right shape for a
-// one-shot CLI, the wrong one for a daemon that fields profiling jobs for
-// days: per-job worker churn, no shared queue bound, and nothing to drain
-// on shutdown. Pool is the long-lived form: a fixed set of workers over a
-// bounded FIFO queue, with an idempotent, context-aware shutdown that a
-// server can call from a signal handler without leaking workers — even
-// when a job is still running and the shutdown context has already
-// expired.
+// Persistent worker pool for a daemon that fields profiling jobs for
+// days: a fixed set of workers over a bounded FIFO queue, with an
+// idempotent, context-aware shutdown that a server can call from a signal
+// handler without leaking workers — even when a job is still running and
+// the shutdown context has already expired.
 package experiments
 
 import (
@@ -29,7 +25,7 @@ var (
 // Pool is a fixed-size worker pool over a bounded FIFO job queue. Jobs are
 // dispatched in submission order (the queue is a channel), so result
 // ordering is deterministic for callers that care — each job writes to its
-// own slot, exactly like forEachIndex's indexed-results contract.
+// own slot.
 type Pool struct {
 	jobs    chan func()
 	done    chan struct{} // closed once every worker has exited

@@ -54,9 +54,15 @@ type Outcomes struct {
 	Failed   int `json:"failed"`
 	// Lost counts jobs that never reached a terminal status.
 	Lost int `json:"lost"`
-	// Untyped counts failed jobs missing an error kind or class, or
-	// classed unknown.
+	// Untyped counts failed jobs that TypedFailure rejects.
 	Untyped int `json:"untyped_failures"`
+}
+
+// TypedFailure reports whether a failed job's error is typed: it names a
+// kind, and its class is one faultinject parses. Outcomes.Add and the
+// chaos sweeps both judge failures by it.
+func TypedFailure(kind, class string) bool {
+	return kind != "" && faultinject.ParseClass(class) != faultinject.Unknown
 }
 
 // Add counts one job by its status and, for a failure, its error kind
@@ -69,7 +75,7 @@ func (o *Outcomes) Add(status JobStatus, kind, class string) {
 		o.Degraded++
 	case StatusFailed:
 		o.Failed++
-		if kind == "" || class == "" || class == faultinject.Unknown.String() {
+		if !TypedFailure(kind, class) {
 			o.Untyped++
 		}
 	default:

@@ -28,6 +28,7 @@ func TestOutcomesCheck(t *testing.T) {
 		{"failure without a kind", func(o *Outcomes) { o.Jobs++; o.Add(StatusFailed, "", "transient") }, "1 failed jobs without"},
 		{"failure without a class", func(o *Outcomes) { o.Jobs++; o.Add(StatusFailed, "internal", "") }, "1 failed jobs without"},
 		{"failure classed unknown", func(o *Outcomes) { o.Jobs++; o.Add(StatusFailed, "internal", "unknown") }, "1 failed jobs without"},
+		{"failure with an unparsed class", func(o *Outcomes) { o.Jobs++; o.Add(StatusFailed, "internal", "bogus") }, "1 failed jobs without"},
 		{"a job never counted", func(o *Outcomes) { o.Jobs++ }, "status counts sum to 3, want 4"},
 		{"degraded but none ok", func(o *Outcomes) { o.OK--; o.Degraded++ }, "no job succeeded"},
 	}

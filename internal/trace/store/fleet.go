@@ -1,5 +1,5 @@
 // Fleet diff: one baseline run's trace compared against every other run in
-// the store, fanned out over the experiments worker pool. The per-pair work
+// the store, one comparison per core at a time. The per-pair work
 // is trace.DiffTraceFiles, which compares the two trace footers' Merkle
 // leaves, so each comparison reads two footers — or, when the manifests
 // already carry matching Merkle roots, nothing at all.
@@ -7,9 +7,11 @@ package store
 
 import (
 	"path/filepath"
+	"runtime"
 	"sort"
+	"sync"
+	"sync/atomic"
 
-	"algoprof/internal/experiments"
 	"algoprof/internal/trace"
 )
 
@@ -50,9 +52,9 @@ type FleetReport struct {
 }
 
 // FleetDiff compares baseline's trace against every run in runs (all other
-// stored runs when runs is empty), in parallel on the experiments pool.
-// Per-run failures are reported in their entries, not returned: one
-// truncated trace must not hide the rest of the fleet.
+// stored runs when runs is empty), on GOMAXPROCS workers. Per-run
+// failures are reported in their entries, not returned: one truncated
+// trace must not hide the rest of the fleet.
 func (s *Store) FleetDiff(baseline string, runs []string) (*FleetReport, error) {
 	return s.FleetDiffTenant(baseline, runs, "")
 }
@@ -89,31 +91,20 @@ func (s *Store) FleetDiffTenant(baseline string, runs []string, tenant string) (
 		BaselineRoot: baseRoot,
 		Entries:      make([]FleetEntry, len(runs)),
 	}
-	experiments.ForEachIndex(len(runs), func(i int) error {
-		e := &report.Entries[i]
-		e.Run = runs[i]
-		dir, err := s.runDir(runs[i])
-		if err != nil {
-			e.Err = err.Error()
-			return nil
-		}
-		if m, err := s.Load(runs[i]); err == nil {
-			e.Root = m.Manifest.TraceMerkleRoot
-		}
-		if baseRoot != "" && e.Root == baseRoot {
-			e.Identical = true
-			e.SkippedByRoot = true
-			return nil
-		}
-		d, err := trace.DiffTraceFiles(basePath, filepath.Join(dir, traceFile))
-		if err != nil {
-			e.Err = err.Error()
-			return nil
-		}
-		e.Diff = d
-		e.Identical = d.Identical
-		return nil
-	})
+	// Each comparison writes only its own entry, so the report's order is
+	// the sorted run order whatever the scheduling.
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), len(runs)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < len(runs); i = int(next.Add(1)) - 1 {
+				report.Entries[i] = s.fleetEntry(basePath, baseRoot, runs[i])
+			}
+		}()
+	}
+	wg.Wait()
 	for i := range report.Entries {
 		e := &report.Entries[i]
 		switch {
@@ -129,4 +120,31 @@ func (s *Store) FleetDiffTenant(baseline string, runs []string, tenant string) (
 		}
 	}
 	return report, nil
+}
+
+// fleetEntry compares one run's trace against the baseline's, or proves
+// it identical from matching manifest roots without reading either trace.
+func (s *Store) fleetEntry(basePath, baseRoot, run string) FleetEntry {
+	e := FleetEntry{Run: run}
+	dir, err := s.runDir(run)
+	if err != nil {
+		e.Err = err.Error()
+		return e
+	}
+	if m, err := s.Load(run); err == nil {
+		e.Root = m.Manifest.TraceMerkleRoot
+	}
+	if baseRoot != "" && e.Root == baseRoot {
+		e.Identical = true
+		e.SkippedByRoot = true
+		return e
+	}
+	d, err := trace.DiffTraceFiles(basePath, filepath.Join(dir, traceFile))
+	if err != nil {
+		e.Err = err.Error()
+		return e
+	}
+	e.Diff = d
+	e.Identical = d.Identical
+	return e
 }
