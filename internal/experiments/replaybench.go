@@ -39,14 +39,13 @@ type ReplayBenchResult struct {
 const replayRounds = 3
 
 // ReplayBench records one trace of the merge-vs-insertion workload with
-// the run store's writer options and measures (a) raw sequential replay
-// and (b) end-to-end profile replay, asserting that it reproduces the
-// recording's profile. It also diffs two copies of the trace, once from
-// their footers and once by the full scan, requires both to find them
+// the run store's writer options and times (a) raw sequential replay and
+// (b) end-to-end profile replay, asserting that it reproduces the
+// recording's profile. It diffs two copies of the trace once from their
+// footers and once by the full scan, requires both to call them
 // identical, and reports the bytes each read. The diffs are not timed:
-// each is a sub-millisecond read that is mostly two file opens, whose
-// time a few rounds cannot resolve, while the bytes read do not move
-// with the host.
+// each is a sub-millisecond read, mostly two file opens, that a few
+// rounds cannot resolve.
 func ReplayBench(sw Sweep, now func() int64) (*ReplayBenchResult, error) {
 	src := workloads.MergeVsInsertion(sw.MaxSize, sw.Step, sw.Reps)
 	cfg := algoprof.Config{Seed: sw.Seed}

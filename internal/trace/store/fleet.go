@@ -10,7 +10,6 @@ import (
 	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"algoprof/internal/trace"
 )
@@ -93,17 +92,21 @@ func (s *Store) FleetDiffTenant(baseline string, runs []string, tenant string) (
 	}
 	// Each comparison writes only its own entry, so the report's order is
 	// the sorted run order whatever the scheduling.
-	var next atomic.Int64
+	next := make(chan int)
 	var wg sync.WaitGroup
 	for w := min(runtime.GOMAXPROCS(0), len(runs)); w > 0; w-- {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := int(next.Add(1)) - 1; i < len(runs); i = int(next.Add(1)) - 1 {
+			for i := range next {
 				report.Entries[i] = s.fleetEntry(basePath, baseRoot, runs[i])
 			}
 		}()
 	}
+	for i := range runs {
+		next <- i
+	}
+	close(next)
 	wg.Wait()
 	for i := range report.Entries {
 		e := &report.Entries[i]
