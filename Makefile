@@ -80,13 +80,18 @@ perfbench-smoke:
 # range check, legacy checkpoint frames — seeded with v3 traces and the
 # pinned v2 and v3 golden traces), and the path-counter decoder must reject
 # arbitrary table/counter combinations without crashing or miscounting. The seed corpora also run
-# as plain fixtures in `make test`. The FuzzReplayV2 leg caps input
-# minimization at 100 runs: at the default 60 s, minimizing the first
-# new-coverage input it finds outlasts the whole 10 s leg.
+# as plain fixtures in `make test`. FuzzReplayProgram carries the trace
+# contract through the profiler: decoded bytes replayed against a fixed
+# program with the verifier on end in a profile or a typed error, with
+# tables sized by the ids a trace names, not their values. The
+# FuzzReplayV2 and FuzzReplayProgram legs cap input minimization at 100
+# runs: at the default 60 s, minimizing the first new-coverage input
+# found outlasts the whole 10 s leg.
 fuzz-smoke:
 	$(GO) test -run Fuzz -fuzz='FuzzReplay$$' -fuzztime=10s ./internal/trace
 	$(GO) test -run Fuzz -fuzz=FuzzReplayV2 -fuzztime=10s -fuzzminimizetime=100x ./internal/trace
 	$(GO) test -run Fuzz -fuzz=FuzzDecode -fuzztime=10s ./internal/pathdecode
+	$(GO) test -run Fuzz -fuzz=FuzzReplayProgram -fuzztime=10s -fuzzminimizetime=100x .
 
 # Seeded fault-injection sweeps of every chaos target under the race
 # detector (see docs/FAULTS.md): the library's record → replay pipeline,

@@ -135,9 +135,6 @@ func (inv Invocation) EachCost(f func(CostKey, int64)) {
 	}
 }
 
-// NumCosts returns the number of distinct cost keys recorded.
-func (inv Invocation) NumCosts() int { return len(inv.costs.cells) }
-
 // Node is a repetition tree node.
 type Node struct {
 	Kind NodeKind
@@ -403,7 +400,7 @@ type Profiler struct {
 	// allocation, keyed by entity id (ids are monotonic per thread and
 	// never reused); the classifier uses it to tell constructions from
 	// modifications.
-	allocatedBy snapshot.Table[*Node]
+	allocatedBy events.Table[*Node]
 
 	// keys interns CostKeys; stepID is the pre-interned id of cost{STEP},
 	// the single hottest counter.
@@ -425,7 +422,7 @@ type Profiler struct {
 
 	// etTIDs caches interned type ids per entity id (0 = unknown, else
 	// tid + 2).
-	etTIDs snapshot.Table[int32]
+	etTIDs events.Table[int32]
 
 	// events counts consumed listener events. It is atomic because
 	// EventCount may be read from other goroutines (service stats, quota
@@ -536,14 +533,6 @@ func (p *Profiler) Instrumented() *instrument.Instrumented { return p.ins }
 
 // Root returns the repetition tree root.
 func (p *Profiler) Root() *Node { return p.root }
-
-// AllocatedBy returns the repetition node that allocated entity id, or nil.
-func (p *Profiler) AllocatedBy(id uint64) *Node {
-	if n := p.allocatedBy.Peek(id); n != nil {
-		return *n
-	}
-	return nil
-}
 
 // EachAllocation calls f, in entity-id order, for every entity whose
 // allocation the profiler saw, with the repetition node that allocated it.

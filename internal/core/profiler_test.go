@@ -426,11 +426,11 @@ class Main {
 }`, Options{})
 	loop := p.Root().Children[0]
 	found := 0
-	for id := uint64(1); id < 10; id++ {
-		if p.AllocatedBy(id) == loop {
+	p.EachAllocation(func(_ uint64, n *Node) {
+		if n == loop {
 			found++
 		}
-	}
+	})
 	if found != 3 {
 		t.Errorf("3 nodes allocated by the loop, found %d", found)
 	}

@@ -186,8 +186,8 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (*LoadReport, error) {
 		resp.Body.Close()
 	}
 
-	// Queue-depth sampler.
-	var maxQueue atomic.Int64
+	// Queue-depth sampler and progress log, stopped before RunLoad returns.
+	var maxQueue, done atomic.Int64
 	sampleCtx, stopSampling := context.WithCancel(ctx)
 	var samplerWG sync.WaitGroup
 	samplerWG.Add(1)
@@ -195,10 +195,14 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (*LoadReport, error) {
 		defer samplerWG.Done()
 		tick := time.NewTicker(25 * time.Millisecond)
 		defer tick.Stop()
+		progress := time.NewTicker(2 * time.Second)
+		defer progress.Stop()
 		for {
 			select {
 			case <-sampleCtx.Done():
 				return
+			case <-progress.C:
+				logf("loadgen: %d/%d jobs done", done.Load(), cfg.Jobs)
 			case <-tick.C:
 				resp, err := client.Get(cfg.Addr + "/v1/stats")
 				if err != nil {
@@ -218,7 +222,6 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (*LoadReport, error) {
 	results := make([]jobResult, cfg.Jobs)
 	indices := make(chan int)
 	var wg sync.WaitGroup
-	var done atomic.Int64
 	for w := 0; w < cfg.Concurrency; w++ {
 		wg.Add(1)
 		go func() {
@@ -232,22 +235,12 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (*LoadReport, error) {
 			}
 		}()
 	}
-	go func() {
-		tick := time.NewTicker(2 * time.Second)
-		defer tick.Stop()
-		for range tick.C {
-			n := done.Load()
-			if n >= int64(cfg.Jobs) {
-				return
-			}
-			logf("loadgen: %d/%d jobs done", n, cfg.Jobs)
-		}
-	}()
+feed:
 	for i := 0; i < cfg.Jobs; i++ {
 		select {
 		case indices <- i:
 		case <-ctx.Done():
-			break
+			break feed
 		}
 	}
 	close(indices)

@@ -1,8 +1,12 @@
 package service
 
 import (
+	"context"
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 )
 
 // TestOutcomesCheck holds the one gate loadgen and the distributed
@@ -39,5 +43,43 @@ func TestOutcomesCheck(t *testing.T) {
 		if len(bad) != 1 || !strings.Contains(bad[0], tc.want) {
 			t.Errorf("%s: violations %q, want one containing %q", tc.name, bad, tc.want)
 		}
+	}
+}
+
+// TestRunLoadCancelled: a cancelled load run stops submitting, counts the
+// jobs it never finished as lost, and logs nothing after RunLoad returns.
+// The progress log ticks every 2 s, so the test waits out one tick.
+func TestRunLoadCancelled(t *testing.T) {
+	t.Parallel()
+	_, srv := newHTTPService(t, Config{Workers: 1})
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	var (
+		mu       sync.Mutex
+		returned bool
+		late     []string
+	)
+	logf := func(format string, args ...any) {
+		mu.Lock()
+		defer mu.Unlock()
+		if returned {
+			late = append(late, fmt.Sprintf(format, args...))
+		}
+	}
+	rep, err := RunLoad(ctx, LoadConfig{Addr: srv.URL, Jobs: 200, Concurrency: 2, Logf: logf})
+	mu.Lock()
+	returned = true
+	mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Lost != rep.Jobs {
+		t.Errorf("cancelled before any job ran: %d of %d jobs lost, want all", rep.Lost, rep.Jobs)
+	}
+	time.Sleep(2500 * time.Millisecond)
+	mu.Lock()
+	defer mu.Unlock()
+	if len(late) > 0 {
+		t.Fatalf("logged after RunLoad returned: %q", late)
 	}
 }

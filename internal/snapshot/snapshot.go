@@ -19,9 +19,7 @@
 package snapshot
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 	"sort"
 	"strings"
 
@@ -104,147 +102,18 @@ func (k Kind) String() string {
 	return "structure"
 }
 
-// ---------------------------------------------------------------------------
-// Dense id-indexed tables
-
-// Table is a dense array keyed by entity id. A VM thread numbers its
-// entities consecutively from its span's base (see events.SpanShift), so
-// the table keeps one base-offset slice per span: the live range [base,
-// base+len) of each stays compact, and indexing replaces a map lookup with
-// a bounds check and an array access. An id of another thread lands in
-// that thread's span instead of stretching one slice across the 2^40 ids
-// between them. The zero value is an empty table.
-type Table[T any] struct {
-	tableSpan[T]                // the span of the first id stored
-	more         []tableSpan[T] // every other span, in first-use order
-}
-
-type tableSpan[T any] struct {
-	base  uint64
-	slots []T
-}
-
-// Slot returns a pointer to id's slot, growing the table to cover id. The
-// pointer is valid until the next Slot call.
-func (t *Table[T]) Slot(id uint64) *T {
-	if off := id - t.base; off < uint64(len(t.slots)) {
-		return &t.slots[off]
-	}
-	return t.grow(id)
-}
-
-// grow is Slot's slow path: it grows id's span to cover id, opening the
-// span when the table has none yet.
-func (t *Table[T]) grow(id uint64) *T {
-	s := &t.tableSpan
-	if t.slots != nil && t.base>>events.SpanShift != id>>events.SpanShift {
-		s = t.otherSpan(id)
-	}
-	if s.slots == nil {
-		s.base = id
-		s.slots = make([]T, 1, 64)
-		return &s.slots[0]
-	}
-	if id < s.base {
-		shift := s.base - id
-		grown := make([]T, uint64(len(s.slots))+shift)
-		copy(grown[shift:], s.slots)
-		s.slots, s.base = grown, id
-		return &s.slots[0]
-	}
-	off := id - s.base
-	if off >= uint64(len(s.slots)) {
-		if off < uint64(cap(s.slots)) {
-			// Spans only grow, so capacity beyond len has never held
-			// data and is still zeroed.
-			s.slots = s.slots[:off+1]
-		} else {
-			newCap := 2 * cap(s.slots)
-			if uint64(newCap) < off+1 {
-				newCap = int(off + 1)
-			}
-			grown := make([]T, off+1, newCap)
-			copy(grown, s.slots)
-			s.slots = grown
-		}
-	}
-	return &s.slots[off]
-}
-
-// otherSpan returns id's span past the first, opening it if need be.
-func (t *Table[T]) otherSpan(id uint64) *tableSpan[T] {
-	for i := range t.more {
-		if t.more[i].base>>events.SpanShift == id>>events.SpanShift {
-			return &t.more[i]
-		}
-	}
-	t.more = append(t.more, tableSpan[T]{})
-	return &t.more[len(t.more)-1]
-}
-
-// Peek returns a pointer to id's slot, or nil when id is outside the
-// table.
-func (t *Table[T]) Peek(id uint64) *T {
-	if off := id - t.base; off < uint64(len(t.slots)) {
-		return &t.slots[off]
-	}
-	if len(t.more) == 0 {
-		return nil
-	}
-	return t.peekMore(id)
-}
-
-// peekMore is Peek past the first span.
-func (t *Table[T]) peekMore(id uint64) *T {
-	for i := range t.more {
-		s := &t.more[i]
-		if off := id - s.base; off < uint64(len(s.slots)) {
-			return &s.slots[off]
-		}
-	}
-	return nil
-}
-
-// Len returns the number of slots the table holds.
-func (t *Table[T]) Len() int {
-	n := len(t.slots)
-	for _, s := range t.more {
-		n += len(s.slots)
-	}
-	return n
-}
-
-// Each calls f for every slot in ascending id order.
-func (t *Table[T]) Each(f func(id uint64, v *T)) {
-	spans := append([]tableSpan[T]{t.tableSpan}, t.more...)
-	slices.SortFunc(spans, func(a, b tableSpan[T]) int { return cmp.Compare(a.base, b.base) })
-	for _, s := range spans {
-		for off := range s.slots {
-			f(s.base+uint64(off), &s.slots[off])
-		}
-	}
-}
-
-// Clear zeroes every slot.
-func (t *Table[T]) Clear() {
-	clear(t.slots)
-	for _, s := range t.more {
-		clear(s.slots)
-	}
-}
-
 // visitSet is a generation-stamped membership set over entity ids, reused
 // across traversals without clearing: begin() bumps the generation, making
 // every previous mark stale in O(1).
 type visitSet struct {
-	marks Table[uint32]
+	marks events.Table[uint32]
 	gen   uint32
 }
 
 func (v *visitSet) begin() {
 	v.gen++
-	if v.gen == 0 { // generation wrapped: marks are ambiguous, reset them
-		v.marks.Clear()
+	if v.gen == 0 { // generation wrapped: marks are ambiguous, drop them
+		v.marks = events.Table[uint32]{}
 		v.gen = 1
 	}
 }
@@ -326,7 +195,7 @@ type Snap struct {
 	// and circular shapes both qualify. curID is the object being
 	// expanded; symOK goes false on shapes the check does not cover
 	// (arrays inside the structure).
-	bal       Table[balSlot]
+	bal       events.Table[balSlot]
 	balGen    uint32
 	nzBal     int
 	curID     uint64
@@ -351,9 +220,6 @@ func (s *Snap) Size(strat Strategy) int {
 	}
 	return s.CapacitySlots
 }
-
-// NumEntities returns the number of distinct entities reached.
-func (s *Snap) NumEntities() int { return len(s.IDs) }
 
 // Has reports whether entity id was reached by the snapshot.
 func (s *Snap) Has(id uint64) bool {
@@ -471,8 +337,8 @@ func (s *Snap) bumpType(name string) {
 
 func (s *Snap) takeStructure(root events.Entity) {
 	s.balGen++
-	if s.balGen == 0 { // generation wrapped: slots are ambiguous, reset
-		s.bal.Clear()
+	if s.balGen == 0 { // generation wrapped: slots are ambiguous, drop them
+		s.bal = events.Table[balSlot]{}
 		s.balGen = 1
 	}
 	s.symOK = true
@@ -652,11 +518,11 @@ type Registry struct {
 	inputs []*Input
 	parent []int // union-find over input ids
 
-	entityOwner Table[int32]    // entity id -> input id + 1 (not canonical)
-	memo        Table[memoSlot] // root entity id -> cached observation
-	memberStamp Table[uint64]   // entity id -> symStamp of covering snapshot
-	keyOwner    map[string]int  // string element key -> input id
-	typeOwner   map[string]int  // SameType: signature -> input id
+	entityOwner events.Table[int32]    // entity id -> input id + 1 (not canonical)
+	memo        events.Table[memoSlot] // root entity id -> cached observation
+	memberStamp events.Table[uint64]   // entity id -> symStamp of covering snapshot
+	keyOwner    map[string]int         // string element key -> input id
+	typeOwner   map[string]int         // SameType: signature -> input id
 	writeEpoch  uint64
 	mergeStamp  uint64 // bumped per merge; see memoSlot.stamp
 	symGen      uint64 // issues Input.symStamp values

@@ -1,7 +1,6 @@
 package snapshot
 
 import (
-	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -430,57 +429,5 @@ func TestSnapshotReachabilityProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Error(err)
-	}
-}
-
-// TestTableSpans: ids of two threads' spans, 2^40 apart, each get a dense
-// run of their own — the table holds as many slots as a one-thread table
-// would for the same ids, in whichever order the spans first appear —
-// and Each visits every slot in ascending id order.
-func TestTableSpans(t *testing.T) {
-	main := func(k uint64) uint64 { return 1 + k }
-	thread := func(k uint64) uint64 { return 1<<events.SpanShift + 1 + k }
-	for _, threadFirst := range []bool{false, true} {
-		var tb Table[uint64]
-		ids := []uint64{main(0), main(1), main(2), thread(0), thread(1)}
-		if threadFirst {
-			ids = []uint64{thread(0), thread(1), main(0), main(1), main(2)}
-		}
-		for _, id := range ids {
-			*tb.Slot(id) = id
-		}
-		if n := tb.Len(); n != len(ids) {
-			t.Fatalf("threadFirst=%v: Len = %d, want %d", threadFirst, n, len(ids))
-		}
-		for _, id := range ids {
-			if p := tb.Peek(id); p == nil || *p != id {
-				t.Fatalf("threadFirst=%v: Peek(%d) = %v", threadFirst, id, p)
-			}
-		}
-		if p := tb.Peek(thread(5)); p != nil {
-			t.Fatalf("threadFirst=%v: Peek of an id never stored = %d", threadFirst, *p)
-		}
-		var got []uint64
-		tb.Each(func(id uint64, v *uint64) {
-			if *v != id {
-				t.Fatalf("slot %d holds %d", id, *v)
-			}
-			got = append(got, id)
-		})
-		want := []uint64{main(0), main(1), main(2), thread(0), thread(1)}
-		if fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Fatalf("threadFirst=%v: Each visited %v, want %v", threadFirst, got, want)
-		}
-		// A lower id in a span shifts that span's base down, as before.
-		*tb.Slot(thread(0) - 1) = 7
-		if n := tb.Len(); n != len(ids)+1 {
-			t.Fatalf("threadFirst=%v: Len after a lower id = %d, want %d", threadFirst, n, len(ids)+1)
-		}
-		tb.Clear()
-		tb.Each(func(id uint64, v *uint64) {
-			if *v != 0 {
-				t.Fatalf("slot %d = %d after Clear", id, *v)
-			}
-		})
 	}
 }

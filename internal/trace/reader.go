@@ -297,7 +297,7 @@ func (r *Reader) Replay(dispatch func(*pipeline.Record)) error {
 // dispatched at all — so listeners always observe a whole-frame prefix of
 // the recorded stream.
 func (r *Reader) ReplayContext(ctx context.Context, dispatch func(*pipeline.Record)) error {
-	var heap shadowHeap
+	var heap events.Table[*shadowEntity]
 	d := r.newDecoder()
 	defer d.release()
 	off := int64(headerSize)
@@ -334,7 +334,7 @@ func (r *Reader) ReplayContext(ctx context.Context, dispatch func(*pipeline.Reco
 // The shadow heap still mutates during the failed decode of a torn frame,
 // but no record of that frame reaches the listeners — and the caller stops
 // the replay there, so the inconsistency is never observed.
-func (d *frameDecoder) replayAtomic(b []byte, heap *shadowHeap, dispatch func(*pipeline.Record)) error {
+func (d *frameDecoder) replayAtomic(b []byte, heap *events.Table[*shadowEntity], dispatch func(*pipeline.Record)) error {
 	var recs []pipeline.Record
 	if err := d.replay(b, heap, func(r *pipeline.Record) {
 		recs = append(recs, *r)
@@ -351,7 +351,7 @@ func (d *frameDecoder) replayAtomic(b []byte, heap *shadowHeap, dispatch func(*p
 // shadow heap and dispatching it in stream order. The string table, clock
 // base and entity-id base are frame-local, so every frame decodes
 // independently of the frames before it; only the heap carries over.
-func (d *frameDecoder) replay(b []byte, heap *shadowHeap, dispatch func(*pipeline.Record)) error {
+func (d *frameDecoder) replay(b []byte, heap *events.Table[*shadowEntity], dispatch func(*pipeline.Record)) error {
 	d.strs = d.strs[:0]
 	d.prevEnt = 0
 	var clock uint64
@@ -518,28 +518,28 @@ func (d *frameDecoder) parseBody(b []byte, pos int) (int, error) {
 // shadow heap, filling E1/E2. Every heap mutation is applied before its
 // record is dispatched: a listener processing record k observes exactly
 // the heap state the live listener saw there.
-func bindBody(heap *shadowHeap, rec *pipeline.Record) error {
+func bindBody(heap *events.Table[*shadowEntity], rec *pipeline.Record) error {
 	switch rec.Op {
 	case pipeline.OpFieldGet, pipeline.OpArrayLoad, pipeline.OpAlloc:
-		rec.E1 = ent(heap.get(rec.Ent))
+		rec.E1 = ent(get(heap, rec.Ent))
 	case pipeline.OpFieldPut:
-		obj := heap.get(rec.Ent)
-		tgt := heap.get(rec.Aux)
+		obj := get(heap, rec.Ent)
+		tgt := get(heap, rec.Aux)
 		if obj != nil {
 			obj.setLink(int(rec.ID), tgt)
 		}
 		rec.E1, rec.E2 = ent(obj), ent(tgt)
 	case pipeline.OpArrayStore:
-		rec.E1 = ent(heap.get(rec.Ent))
-		rec.E2 = ent(heap.get(rec.Aux))
+		rec.E1 = ent(get(heap, rec.Ent))
+		rec.E2 = ent(get(heap, rec.Aux))
 	case pipeline.OpJrnlAlloc:
-		e, err := heap.alloc(rec.Ent, int(rec.ID), int(rec.Aux), events.ElemMode(rec.Kx), rec.KS)
+		e, err := alloc(heap, rec.Ent, int(rec.ID), int(rec.Aux), events.ElemMode(rec.Kx), rec.KS)
 		if err != nil {
 			return err
 		}
 		rec.E1 = e
 	case pipeline.OpJrnlStore:
-		arr := heap.get(rec.Ent)
+		arr := get(heap, rec.Ent)
 		slot := shadowSlot{}
 		switch rec.Kx {
 		case pipeline.KeyInt:
@@ -547,7 +547,7 @@ func bindBody(heap *shadowHeap, rec *pipeline.Record) error {
 		case pipeline.KeyStr:
 			slot = shadowSlot{kind: slotStr, s: rec.KS}
 		default:
-			tgt := heap.get(rec.Aux)
+			tgt := get(heap, rec.Aux)
 			if tgt != nil {
 				slot = shadowSlot{kind: slotRef, ref: tgt}
 			}

@@ -132,89 +132,11 @@ func (e *shadowEntity) ForEachElemKey(visit func(key events.ElemKey)) {
 
 var _ events.Entity = (*shadowEntity)(nil)
 
-// shadowHeap resolves record entity ids to shadow entities during replay.
-// A VM thread numbers its entities consecutively from its span's base
-// (tid<<events.SpanShift), and the journal records every birth in that
-// order, so a trace's own entities fill a dense slice per span, grown only
-// by appending the span's next id: resolving one is a bounds check and a
-// load. Every other id — a stand-in for another thread's entity, an id a
-// hand-crafted trace made up — lives in a map, so the heap's memory stays
-// proportional to the records decoded whatever ids a trace carries. The
-// zero value is an empty heap.
-type shadowHeap struct {
-	spans []heapSpan
-	other map[int64]*shadowEntity
-}
-
-// heapSpan is one span's dense run of entities: ents[i] has id base+i.
-type heapSpan struct {
-	base int64
-	ents []*shadowEntity
-}
-
-// maxHeapSpans bounds the dense spans one heap opens, and with them the
-// scan every lookup makes. A trace journals the births of one thread, so
-// real traces open one; births in further spans go to the map.
-const maxHeapSpans = 4
-
-// find returns the entity id resolves to, or nil.
-func (h *shadowHeap) find(id int64) *shadowEntity {
-	for i := range h.spans {
-		s := &h.spans[i]
-		if off := uint64(id - s.base); off < uint64(len(s.ents)) {
-			return s.ents[off]
-		}
-	}
-	return h.other[id]
-}
-
-// put binds id to e, replacing whatever id resolved to before.
-func (h *shadowHeap) put(id int64, e *shadowEntity) {
-	if !h.putDense(id, e) {
-		h.putOther(id, e)
-		return
-	}
-	// id is dense now; drop a stand-in made before its birth.
-	if len(h.other) > 0 {
-		delete(h.other, id)
-	}
-}
-
-// putDense binds id in its span's dense slice when id lies in it or is the
-// span's next id, opening the span at id if it has none yet, and reports
-// whether it did.
-func (h *shadowHeap) putDense(id int64, e *shadowEntity) bool {
-	for i := range h.spans {
-		s := &h.spans[i]
-		if s.base>>events.SpanShift != id>>events.SpanShift {
-			continue
-		}
-		switch off := id - s.base; {
-		case uint64(off) < uint64(len(s.ents)):
-			s.ents[off] = e
-		case off == int64(len(s.ents)):
-			s.ents = append(s.ents, e)
-		default:
-			return false
-		}
-		return true
-	}
-	if len(h.spans) == maxHeapSpans {
-		return false
-	}
-	h.spans = append(h.spans, heapSpan{base: id, ents: []*shadowEntity{e}})
-	return true
-}
-
-func (h *shadowHeap) putOther(id int64, e *shadowEntity) {
-	if h.other == nil {
-		h.other = map[int64]*shadowEntity{}
-	}
-	h.other[id] = e
-}
-
-// alloc materializes the shadow of a journaled allocation.
-func (h *shadowHeap) alloc(id int64, classID int, capacity int, mode events.ElemMode, typeName string) (*shadowEntity, error) {
+// alloc materializes the shadow of a journaled allocation in the replay
+// heap, which maps record entity ids to shadow entities. The birth
+// replaces whatever id resolved to before: a stand-in made when a record
+// named id ahead of its birth.
+func alloc(heap *events.Table[*shadowEntity], id int64, classID int, capacity int, mode events.ElemMode, typeName string) (*shadowEntity, error) {
 	if capacity > maxCapacity {
 		return nil, corruptf("entity capacity %d exceeds limit", capacity)
 	}
@@ -226,7 +148,7 @@ func (h *shadowHeap) alloc(id int64, classID int, capacity int, mode events.Elem
 		capacity: capacity,
 		mode:     mode,
 	}
-	h.put(id, e)
+	*heap.Slot(uint64(id)) = e
 	return e, nil
 }
 
@@ -234,16 +156,15 @@ func (h *shadowHeap) alloc(id int64, classID int, capacity int, mode events.Elem
 // (another thread's entities, or ids in hand-crafted traces) resolve to an
 // empty auto-mode stand-in rather than failing, so damaged traces still
 // replay as far as their records allow.
-func (h *shadowHeap) get(id int64) *shadowEntity {
+func get(heap *events.Table[*shadowEntity], id int64) *shadowEntity {
 	if id == 0 {
 		return nil
 	}
-	if e := h.find(id); e != nil {
-		return e
+	p := heap.Slot(uint64(id))
+	if *p == nil {
+		*p = &shadowEntity{id: uint64(id), typeName: "?", classID: -1, array: true, mode: events.ElemModeAuto}
 	}
-	e := &shadowEntity{id: uint64(id), typeName: "?", classID: -1, array: true, mode: events.ElemModeAuto}
-	h.putOther(id, e)
-	return e
+	return *p
 }
 
 // ent adapts a shadow entity to the events.Entity interface value stored in

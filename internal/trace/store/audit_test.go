@@ -188,6 +188,33 @@ func TestAuditManifestRoot(t *testing.T) {
 	}
 }
 
+// TestAuditSwappedTrace: a run whose trace was recorded from another
+// program, one with more loops than the run's own, is a Corruption
+// finding of the verified replay instead of a crash of the audit.
+func TestAuditSwappedTrace(t *testing.T) {
+	donor := recordCleanRun(t)
+	runDir := recordAuditRun(t, `
+class Main {
+  public static void main() {
+    int s = 0;
+    for (int i = 0; i < 8; i++) { s = s + i; }
+    print(s);
+  }
+}`)
+	data, err := os.ReadFile(filepath.Join(donor, TraceName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	overwrite(t, filepath.Join(runDir, TraceName), data)
+	fs := AuditRun(runDir)
+	for _, f := range fs {
+		if f.Class == faultinject.Corruption && strings.Contains(f.Msg, "verified replay failed") {
+			return
+		}
+	}
+	t.Fatalf("findings %v, want a Corruption finding of the verified replay", fs)
+}
+
 // TestAuditStoreFlagsGarbageEntries: stray files and manifest-less
 // directories — which the store listing deliberately skips — must still be
 // flagged by the audit.

@@ -17,7 +17,7 @@ import (
 // (delta 0, which must not decode as nil), negative deltas, deltas across
 // spans, and OpInstr pcs, which stay absolute.
 func deltaRecords(n int) []pipeline.Record {
-	const thread = int64(1) << events.SpanShift
+	const thread = int64(1) << 40
 	var recs []pipeline.Record
 	add := func(r pipeline.Record) {
 		r.Clock = uint64(len(recs) + 1)
@@ -126,7 +126,7 @@ func TestV3UnrepresentableDelta(t *testing.T) {
 // 63-bit ids replays with memory proportional to its records: every id is
 // a stand-in for an entity never journaled, so none may stretch a dense
 // slice toward its value. Births on random ids are held to the same bound,
-// and open at most maxHeapSpans dense spans.
+// and the replay heap holds one slot per birth.
 func TestHostileEntityIDsBounded(t *testing.T) {
 	for _, op := range []pipeline.Op{pipeline.OpFieldGet, pipeline.OpJrnlAlloc} {
 		rng := rand.New(rand.NewPCG(20, 3))
@@ -147,35 +147,26 @@ func TestHostileEntityIDsBounded(t *testing.T) {
 			t.Fatalf("%v: replayed %d of %d records: %v", op, n, len(recs), err)
 		}
 	}
-	var h shadowHeap
+	var heap events.Table[*shadowEntity]
 	rng := rand.New(rand.NewPCG(20, 4))
 	for range 1000 {
-		if _, err := h.alloc(1+rng.Int64N(math.MaxInt64), 1, 0, events.ElemModeAuto, "Node"); err != nil {
+		if _, err := alloc(&heap, 1+rng.Int64N(math.MaxInt64), 1, 0, events.ElemModeAuto, "Node"); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if len(h.spans) > maxHeapSpans || h.len() != 1000 {
-		t.Fatalf("%d births on random ids: %d spans, %d entities", 1000, len(h.spans), h.len())
+	if n := heap.Len(); n != 1000 {
+		t.Fatalf("1000 births on random ids: the heap holds %d slots", n)
 	}
 }
 
-// len returns how many ids the heap resolves.
-func (h *shadowHeap) len() int {
-	n := len(h.other)
-	for _, s := range h.spans {
-		n += len(s.ents)
-	}
-	return n
-}
-
-// TestShadowHeapSpans: births in id order fill one dense span per thread,
-// stand-ins for unjournaled ids go to the map, and a birth replaces the
-// stand-in made before it.
-func TestShadowHeapSpans(t *testing.T) {
-	const thread = int64(1) << events.SpanShift
-	var h shadowHeap
+// TestReplayHeapBindings: births in id order fill a dense run, a stand-in
+// for an unjournaled id resolves to itself until a birth replaces it, and
+// a re-birth rebinds its id.
+func TestReplayHeapBindings(t *testing.T) {
+	const thread = int64(1) << 40
+	var heap events.Table[*shadowEntity]
 	birth := func(id int64) *shadowEntity {
-		e, err := h.alloc(id, 1, 0, events.ElemModeAuto, "Node")
+		e, err := alloc(&heap, id, 1, 0, events.ElemModeAuto, "Node")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -184,19 +175,31 @@ func TestShadowHeapSpans(t *testing.T) {
 	for id := int64(1); id <= 5; id++ {
 		birth(id)
 	}
-	standIn := h.get(thread + 7)
+	standIn := get(&heap, thread+7)
 	birth(thread + 1)
-	early := h.get(6)
-	six := birth(6)
-	if len(h.spans) != 2 || len(h.spans[0].ents) != 6 || len(h.other) != 1 {
-		t.Fatalf("spans %d (main %d ids), map %d; want 2 spans, 6 main ids, 1 stand-in",
-			len(h.spans), len(h.spans[0].ents), len(h.other))
+	early := get(&heap, 6)
+	if get(&heap, 6) != early || get(&heap, thread+7) != standIn {
+		t.Fatal("a stand-in does not resolve to itself")
 	}
-	if early == six || h.get(6) != six || h.get(thread+7) != standIn || h.get(0) != nil {
+	six := birth(6)
+	if early == six || get(&heap, 6) != six || get(&heap, thread+7) != standIn || get(&heap, 0) != nil {
 		t.Fatal("lookups do not resolve to the latest binding of each id")
 	}
+	var ids []uint64
+	heap.Each(func(id uint64, e **shadowEntity) {
+		if *e == nil {
+			return
+		}
+		if (*e).id != id {
+			t.Fatalf("id %d resolves to entity %d", id, (*e).id)
+		}
+		ids = append(ids, id)
+	})
+	if fmt.Sprint(ids) != fmt.Sprint([]uint64{1, 2, 3, 4, 5, 6, uint64(thread + 1), uint64(thread + 7)}) {
+		t.Fatalf("the heap binds ids %v", ids)
+	}
 	again := birth(3)
-	if h.get(3) != again || h.len() != 8 {
-		t.Fatalf("re-birth of id 3: resolves to %p (want %p), heap holds %d ids", h.get(3), again, h.len())
+	if get(&heap, 3) != again || heap.Len() != 13 {
+		t.Fatalf("re-birth of id 3: resolves to %p (want %p), heap holds %d slots", get(&heap, 3), again, heap.Len())
 	}
 }

@@ -172,12 +172,11 @@ type thread struct {
 
 // threadGroup is the registry shared by every VM of one run: the root and
 // all spawned threads. It tracks live threads for the run-end sweep and
-// accumulates finished threads' instruction/allocation counts.
+// accumulates finished threads' instruction counts.
 type threadGroup struct {
 	mu      sync.Mutex
 	threads map[int]*thread
 	instrs  uint64
-	allocs  uint64
 }
 
 func (tg *threadGroup) register(th *thread) {
@@ -218,7 +217,6 @@ func (tg *threadGroup) finish(child *VM) {
 	tg.mu.Lock()
 	defer tg.mu.Unlock()
 	tg.instrs += child.InstrCount
-	tg.allocs += child.AllocCount
 }
 
 // all snapshots the registry sorted by thread id.
@@ -736,16 +734,6 @@ func (m *VM) TotalInstructions() uint64 {
 	m.group.mu.Lock()
 	defer m.group.mu.Unlock()
 	return m.InstrCount + m.group.instrs
-}
-
-// TotalAllocs is AllocCount summed over all threads; see TotalInstructions.
-func (m *VM) TotalAllocs() uint64 {
-	if m.group == nil {
-		return m.AllocCount
-	}
-	m.group.mu.Lock()
-	defer m.group.mu.Unlock()
-	return m.AllocCount + m.group.allocs
 }
 
 // ThreadCount reports how many threads the run spawned (all of them, not

@@ -387,6 +387,9 @@ func replay(ctx context.Context, prog *bytecode.Program, cfg Config, r *trace.Re
 		if err := tr.ReplayContext(ctx, s.tp.Dispatch); err != nil {
 			return nil, err
 		}
+		if err := checkLoops(s.prof.Root(), len(ins.Loops)); err != nil {
+			return nil, err
+		}
 		if tr.Stats().Truncated {
 			s.openOK, s.reasons = true, []string{"truncated-trace"}
 		}
@@ -416,4 +419,18 @@ func replay(ctx context.Context, prog *bytecode.Program, cfg Config, r *trace.Re
 	}
 	p.Instructions = instrs
 	return p, nil
+}
+
+// checkLoops refuses a replayed repetition tree that holds a loop the
+// program lacks: a recording names only its own program's loops, so such
+// a trace is damaged or was recorded from another program.
+func checkLoops(root *core.Node, loops int) error {
+	for stack := []*core.Node{root}; len(stack) > 0; {
+		n := stack[len(stack)-1]
+		stack = append(stack[:len(stack)-1], n.Children...)
+		if n.Kind == core.KindLoop && (n.ID < 0 || n.ID >= loops) {
+			return &trace.CorruptError{Off: -1, Msg: fmt.Sprintf("trace names loop %d of a program with %d loops", n.ID, loops)}
+		}
+	}
+	return nil
 }

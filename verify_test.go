@@ -15,7 +15,7 @@ import (
 	"algoprof/internal/workloads"
 )
 
-func compile(t *testing.T, src string) *bytecode.Program {
+func compile(t testing.TB, src string) *bytecode.Program {
 	t.Helper()
 	prog, err := compiler.CompileSource(src)
 	if err != nil {
