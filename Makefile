@@ -20,7 +20,7 @@ test:
 	$(GO) test ./...
 
 # Concurrency-sensitive packages under the race detector: the event
-# transport and the core profiler (its event counter is read from other
+# stream and the core profiler (its event counter is read from other
 # goroutines mid-run), the probe API (one session per goroutine), the VM
 # (spawn/join thread goroutines), the daemon's job pool (experiments.Pool),
 # the trace subsystem (the store's concurrent-record reservation; the
@@ -30,8 +30,8 @@ test:
 # targets crash workers and revoke leases mid-stream), and the root
 # package (the events/paths equivalence suite and the threaded
 # transport-equivalence gate, which runs ≥2 concurrent per-thread
-# producers, each with its own transport). Vet runs first so the leg is
-# self-contained in CI.
+# producers, each feeding its own thread's session). Vet runs first so
+# the leg is self-contained in CI.
 race:
 	$(GO) vet ./...
 	$(GO) test -race . ./internal/events/... ./internal/core ./internal/vm ./internal/experiments/... ./internal/trace/... ./internal/service ./internal/dispatch ./internal/chaos ./probe
@@ -82,8 +82,10 @@ perfbench-smoke:
 # arbitrary table/counter combinations without crashing or miscounting. The seed corpora also run
 # as plain fixtures in `make test`. FuzzReplayProgram carries the trace
 # contract through the profiler: decoded bytes replayed against a fixed
-# program with the verifier on end in a profile or a typed error, with
-# tables sized by the ids a trace names, not their values. The
+# program with the verifier on, and again with the comparison profilers
+# (Backends) too, whose baselines it renders, end in a profile or a
+# typed error, with tables sized by the ids a trace names, not their
+# values. The
 # FuzzReplayV2 and FuzzReplayProgram legs cap input minimization at 100
 # runs: at the default 60 s, minimizing the first new-coverage input
 # found outlasts the whole 10 s leg.

@@ -127,7 +127,7 @@ type Config struct {
 	// semantics (limits degrade the profile, they do not fail the run).
 	Limits Limits
 	// Verify runs the online invariant verifier (internal/verify) as one
-	// more transport consumer: the event stream is checked for
+	// more rider of each thread's event stream: the stream is checked for
 	// well-formedness while the program runs, and the repetition tree is
 	// cross-checked against the stream afterwards (and, with Backends,
 	// the CCT's call counts too). Any violation fails the run with a

@@ -208,7 +208,7 @@ func TestCheckPathDecode(t *testing.T) {
 
 // TestPathModeVerified runs the corpus through the online verifier in
 // paths mode (tree invariants still hold; stream agreement is gated off
-// for counted loops). The verifier puts a transport between the VM and
+// for counted loops). The verifier puts a producer between the VM and
 // the profiler, so SiteTouch answers come through the producer.
 func TestPathModeVerified(t *testing.T) {
 	for _, tc := range equivalenceCorpus {

@@ -64,10 +64,14 @@ func New(prog *bytecode.Program) *Profiler {
 	return p
 }
 
-// Hook is the VM instruction hook: it counts block entries.
+// Hook is the VM instruction hook: it counts block entries. A tick naming
+// a method or pc the program lacks counts nothing.
 func (p *Profiler) Hook(methodID, pc int) {
+	if uint(methodID) >= uint(len(p.blockOf)) {
+		return
+	}
 	row := p.blockOf[methodID]
-	if pc < len(row) {
+	if uint(pc) < uint(len(row)) {
 		if b := row[pc]; b != 0 {
 			p.counts[methodID][b-1]++
 		}

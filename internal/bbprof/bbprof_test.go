@@ -128,3 +128,21 @@ func TestResetClearsCounts(t *testing.T) {
 		t.Errorf("counts after reset: %v", r.Counts)
 	}
 }
+
+// TestHookIgnoresUnknownTicks: a tick naming a method or pc the program
+// lacks, as only a damaged trace's replay can, counts nothing and does
+// not panic.
+func TestHookIgnoresUnknownTicks(t *testing.T) {
+	prog, err := compiler.CompileSource(quadraticSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := New(prog)
+	main := prog.MainID
+	for _, tick := range [][2]int{{-1, 0}, {len(prog.Funcs), 0}, {999, 0}, {main, -1}, {main, len(prog.Funcs[main].Code)}} {
+		p.Hook(tick[0], tick[1])
+	}
+	if r := p.Snapshot(0); len(r.Counts) != 0 {
+		t.Errorf("unknown ticks counted: %v", r.Counts)
+	}
+}

@@ -12,7 +12,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"algoprof"
 	"algoprof/internal/faultinject"
 	"algoprof/internal/service"
 	"algoprof/internal/trace/store"
@@ -109,10 +108,6 @@ type Config struct {
 	// budget is exhausted or no worker is available — degraded capacity
 	// instead of dropped jobs. Normally service's local executor.
 	Fallback service.Executor
-	// FallbackLimits clamp (never loosen) a job's limits when it falls
-	// back locally, protecting the daemon process from absorbing the whole
-	// fleet's load at full size.
-	FallbackLimits algoprof.Limits
 	// Store is the daemon's run store; persist-job artifacts shipped back
 	// by workers ingest here.
 	Store *store.Store
@@ -328,15 +323,13 @@ func (d *Dispatcher) Execute(ctx context.Context, spec service.ExecSpec, progres
 	}
 
 	// Dispatch budget exhausted or no worker available: degrade to local
-	// execution under clamped limits. The job never drops.
+	// execution under the job's admitted limits. The job never drops.
 	if d.cfg.Fallback != nil {
 		d.fallbacks.Add(1)
 		if lastErr != nil {
 			d.logf("dispatch: job %s falling back to local execution: %v", spec.ID, lastErr)
 		}
-		fspec := spec
-		fspec.Config.Limits = service.ClampLimits(spec.Config.Limits, d.cfg.FallbackLimits)
-		out, err := d.cfg.Fallback.Execute(ctx, fspec, progress)
+		out, err := d.cfg.Fallback.Execute(ctx, spec, progress)
 		if out != nil {
 			out.Worker = WorkerLocal
 			out.DispatchAttempts = attempts

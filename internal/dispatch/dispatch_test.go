@@ -254,7 +254,7 @@ func TestDispatchLeaseRevocation(t *testing.T) {
 }
 
 // TestDispatchFallbackNoWorkers: with an empty fleet, jobs execute on the
-// local fallback under clamped limits — never dropped.
+// local fallback under their admitted limits — never dropped.
 func TestDispatchFallbackNoWorkers(t *testing.T) {
 	st := newDaemonStore(t)
 	d := New(Config{
@@ -412,24 +412,6 @@ func TestDispatchIdempotentReingest(t *testing.T) {
 	}
 	if len(names) != 1 {
 		t.Fatalf("store has %d runs after duplicate ingest, want 1", len(names))
-	}
-}
-
-// TestClampLimits: fallback limits only ever tighten.
-func TestClampLimits(t *testing.T) {
-	cap := algoprof.Limits{MaxEvents: 100, MaxTraceBytes: 1000, Deadline: time.Second}
-	got := service.ClampLimits(algoprof.Limits{MaxEvents: 500, MaxLiveBytes: 7}, cap)
-	want := algoprof.Limits{MaxEvents: 100, MaxLiveBytes: 7, MaxTraceBytes: 1000, Deadline: time.Second}
-	if got != want {
-		t.Fatalf("clamp = %+v, want %+v", got, want)
-	}
-	// No caps set: limits pass through.
-	if got := service.ClampLimits(want, algoprof.Limits{}); got != want {
-		t.Fatalf("zero cap changed limits: %+v", got)
-	}
-	// A tighter request survives the clamp.
-	if got := service.ClampLimits(algoprof.Limits{MaxEvents: 10}, cap); got.MaxEvents != 10 {
-		t.Fatalf("clamp loosened MaxEvents to %d", got.MaxEvents)
 	}
 }
 

@@ -26,7 +26,7 @@
 //     ingested.
 //   - Graceful degradation: when every worker is quarantined, broken, or
 //     unreachable, jobs fall back to the daemon's local executor under
-//     clamped limits. Degraded capacity, never dropped jobs.
+//     their admitted limits. Degraded capacity, never dropped jobs.
 package dispatch
 
 import (

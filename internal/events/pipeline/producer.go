@@ -2,26 +2,33 @@ package pipeline
 
 import "algoprof/internal/events"
 
-// Producer is the writing end of a Transport. It implements
-// events.Listener, so the VM publishes by emitting events exactly as it
-// would to an inline listener. A producer belongs to one goroutine: every
-// spawned VM thread gets a transport of its own.
+// Producer is the writing end of one thread's event stream. It implements
+// events.Listener and events.Journal, so the VM publishes by emitting
+// events exactly as it would to an inline listener, and it hands each
+// record to its tap before the producing call returns: no buffer, no
+// goroutines. A producer belongs to one goroutine: every spawned VM thread
+// gets one of its own.
 type Producer struct {
-	t *Transport
+	tap RecordTap
 	// clock, if bound, stamps each record with the VM instruction counter.
 	clock *uint64
-	// slot is the record being dispatched. Consumers get a pointer into
-	// the producer rather than to emit's argument, so no record escapes
-	// to the heap.
+	// slot is the record being delivered. The tap gets a pointer into the
+	// producer rather than to emit's argument, so no record escapes to the
+	// heap.
 	slot Record
-	// touch answers SiteTouch calls (the first path-aware decoded
-	// consumer); bound by Transport.Add.
+	// touch answers SiteTouch calls; nil leaves every site unresolved.
 	touch events.PathListener
 }
 
+// NewProducer returns a producer that hands every record to tap and asks
+// touch (the thread's profiler, or nil) the SiteTouch questions.
+func NewProducer(tap RecordTap, touch events.PathListener) *Producer {
+	return &Producer{tap: tap, touch: touch}
+}
+
 // BindClock makes every subsequent record carry *counter at publication
-// time. Bind the VM's &InstrCount so clock-dependent consumers (CCT) see
-// the same timestamps live as they do on replay.
+// time. Bind the VM's &InstrCount so clock-dependent listeners (the CCT)
+// see the same timestamps live as they do on replay.
 func (p *Producer) BindClock(counter *uint64) { p.clock = counter }
 
 func (p *Producer) emit(r Record) {
@@ -29,13 +36,12 @@ func (p *Producer) emit(r Record) {
 		r.Clock = *p.clock
 	}
 	p.slot = r
-	for _, c := range p.t.consumers {
-		c.dispatch(&p.slot)
-	}
+	p.tap.Record(&p.slot)
 }
 
 // Instr publishes a per-instruction tick. Wire this as the VM's InstrHook
-// when a consumer (the basic-block baseline) implements InstrListener.
+// when the stream must carry the ticks (a recording with the basic-block
+// baseline riding).
 func (p *Producer) Instr(methodID, pc int) {
 	p.emit(Record{Op: OpInstr, ID: int32(methodID), Ent: int64(pc)})
 }
@@ -43,7 +49,8 @@ func (p *Producer) Instr(methodID, pc int) {
 // AllocEntity implements events.Journal: it publishes an entity-birth
 // record carrying the layout a trace writer needs (type name, class id,
 // capacity, element mode). Wire the producer as the frontend's Journal
-// only when a RecordTap consumer is attached — no one else reads these.
+// only when the trace writer or the verifier reads the stream — no one
+// else reads these.
 func (p *Producer) AllocEntity(e events.Entity, mode events.ElemMode) {
 	p.emit(Record{
 		Op:  OpJrnlAlloc,
@@ -111,15 +118,14 @@ func (p *Producer) Alloc(obj events.Entity, classID int) {
 }
 
 // LoopPathCount implements events.PathListener: path counters travel the
-// stream like any other record, so consumers see them in stream order.
+// stream like any other record, so listeners see them in stream order.
 func (p *Producer) LoopPathCount(loopID, pathID int, count int64) {
 	p.emit(Record{Op: OpPathCount, ID: int32(loopID), Ent: int64(pathID), Aux: count})
 }
 
 // SiteTouch implements events.PathListener. Unlike every other event it
-// needs an answer, so the producer asks the path-aware consumer's
-// listener directly. With no path-aware consumer attached every site
-// stays unresolved, which only costs repeat calls.
+// needs an answer, so the producer asks its touch listener directly. With
+// none every site stays unresolved, which only costs repeat calls.
 func (p *Producer) SiteTouch(site int, obj events.Entity) bool {
 	if p.touch == nil {
 		return false

@@ -1,17 +1,18 @@
-// Package pipeline is the profiling-event transport: the VM (or a trace
-// reader, on replay) produces compact fixed-size event records, and a
-// fan-out stage hands each record inline, in production order, to every
-// attached listener. One execution pass can therefore
-// drive the algorithmic profiler core, the CCT baseline, the basic-block
-// baseline, the trace writer and the online verifier from one stream,
-// where comparing backends previously re-ran the workload once per
-// listener.
+// Package pipeline is the profiling-event stream in record form: the VM's
+// Producer (or a trace reader, on replay) turns each event into a compact
+// fixed-size Record and hands it inline, in production order, to one
+// RecordTap, the profiled thread's session, which passes it on to the
+// algorithmic profiler core, the CCT baseline, the basic-block baseline,
+// the trace writer and the online verifier. One execution pass therefore
+// drives every backend, where comparing them previously re-ran the
+// workload once per listener.
 //
-// Each consumer sees exactly the event sequence it would have seen wired
-// directly to the VM, filtered by its own plan. Records carry the
-// producer's instruction counter at publication time, and clock-dependent
-// consumers (the CCT baseline) read it via Consumer.Clock, so a replayed
-// trace reproduces the live timestamps.
+// Deliver decodes a record into listener calls under the listener's own
+// plan, so a listener sees exactly the event sequence it would have seen
+// wired directly to the VM. Records carry the producer's instruction
+// counter at publication time, and clock-dependent listeners (the CCT
+// baseline) are timed by it, so a replayed trace reproduces the live
+// timestamps.
 package pipeline
 
 import "algoprof/internal/events"
@@ -41,19 +42,20 @@ const (
 	// OpJrnlAlloc and OpJrnlStore are heap-journal records (entity births
 	// and indexed array stores), published only when the producer is wired
 	// as the frontend's events.Journal. Regular listeners never see them:
-	// dispatch delivers them only to raw record taps (the trace writer),
-	// which need them to maintain an exact shadow heap for offline replay.
+	// Deliver skips them, and only raw record taps (the trace writer, the
+	// verifier) read them, the writer to keep an exact shadow heap for
+	// offline replay.
 	OpJrnlAlloc
 	OpJrnlStore
 	// OpPathCount carries one path counter of a counted loop flushed at
 	// loop exit (paths mode): ID is the loop id, Ent the path id, Aux the
-	// count. Delivered only to consumers implementing events.PathListener.
+	// count.
 	OpPathCount
 )
 
 // Record is one profiling event in fixed-size binary form: an op tag plus
 // up to three integer payloads. Entity-bearing events additionally carry
-// the entity references a listener needs pre-resolved, so consumers never
+// the entity references a listener needs pre-resolved, so listeners never
 // chase VM internals.
 type Record struct {
 	// Op is the event kind.
@@ -95,28 +97,10 @@ const (
 	KeyStr
 )
 
-// InstrListener is optionally implemented by consumers that want
-// per-instruction ticks (OpInstr records). Consumers that do not implement
-// it skip those records.
-type InstrListener interface {
-	Instr(methodID, pc int)
-}
-
-// InstrTap adapts a per-instruction hook (like bbprof's Hook) into a
-// consumer that ignores every listener event and receives only OpInstr
-// ticks.
-type InstrTap struct {
-	events.NopListener
-	Fn func(methodID, pc int)
-}
-
-// Instr implements InstrListener.
-func (t InstrTap) Instr(methodID, pc int) { t.Fn(methodID, pc) }
-
-// RecordTap is optionally implemented by consumers that want every record
-// verbatim instead of decoded listener calls — the trace writer serializes
-// the raw stream (including journal records, which decoded listeners never
-// see). A RecordTap consumer receives no Listener callbacks.
+// RecordTap takes every record verbatim: a producer hands its records to
+// one, and the trace writer and the verifier are ones too (the writer
+// serializes the raw stream, including journal records, which decoded
+// listeners never see).
 type RecordTap interface {
 	// Record is called once per published record, in publication order.
 	// The record is only valid for the duration of the call.

@@ -16,8 +16,8 @@ import (
 
 // ---------------------------------------------------------------------------
 // Single-pass backend comparison: one execution feeds the algorithmic
-// profiler, the CCT baseline, and the basic-block baseline through the
-// event transport (algoprof.Config.Backends), where comparing backends
+// profiler, the CCT baseline, and the basic-block baseline through each
+// thread's session (algoprof.Config.Backends), where comparing backends
 // previously re-ran the workload once per listener.
 
 // HottestExclusive is the thread's hottest method by exclusive CCT cost.

@@ -125,8 +125,7 @@ func (t *tenantState) clampLimits(lim algoprof.Limits) algoprof.Limits {
 
 // ClampLimits tightens cur by cap, field by field: every cap field that is
 // set bounds the corresponding limit, and an unlimited (zero) cur field
-// adopts the cap. A clamp never loosens a limit. The quota clamp and
-// dispatch's local fallback both use it.
+// adopts the cap. A clamp never loosens a limit. The quota clamp uses it.
 func ClampLimits(cur, cap algoprof.Limits) algoprof.Limits {
 	cur.MaxEvents = tighter(cur.MaxEvents, cap.MaxEvents)
 	cur.MaxLiveBytes = tighter(cur.MaxLiveBytes, cap.MaxLiveBytes)

@@ -259,6 +259,24 @@ func TestQuotaMaxActive(t *testing.T) {
 	}
 }
 
+// TestClampLimits: the quota clamp only ever tightens limits.
+func TestClampLimits(t *testing.T) {
+	cap := algoprof.Limits{MaxEvents: 100, MaxTraceBytes: 1000, Deadline: time.Second}
+	got := ClampLimits(algoprof.Limits{MaxEvents: 500, MaxLiveBytes: 7}, cap)
+	want := algoprof.Limits{MaxEvents: 100, MaxLiveBytes: 7, MaxTraceBytes: 1000, Deadline: time.Second}
+	if got != want {
+		t.Fatalf("clamp = %+v, want %+v", got, want)
+	}
+	// No caps set: limits pass through.
+	if got := ClampLimits(want, algoprof.Limits{}); got != want {
+		t.Fatalf("zero cap changed limits: %+v", got)
+	}
+	// A tighter request survives the clamp.
+	if got := ClampLimits(algoprof.Limits{MaxEvents: 10}, cap); got.MaxEvents != 10 {
+		t.Fatalf("clamp loosened MaxEvents to %d", got.MaxEvents)
+	}
+}
+
 // TestDeadlineCeilingClamp: a tenant deadline ceiling imposes itself on
 // jobs that ask for more (or for no deadline at all).
 func TestDeadlineCeilingClamp(t *testing.T) {

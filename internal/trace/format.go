@@ -1,9 +1,9 @@
 // Package trace persists the pipeline's event stream to disk and replays
-// it offline. A Writer subscribes to an events/pipeline Transport as a raw
-// record tap and streams every record — including the heap-journal records
+// it offline. A Writer rides a profiled thread's session as a raw record
+// tap and streams every record — including the heap-journal records
 // regular listeners never see — into self-delimiting, CRC-protected,
-// optionally compressed frames. A Reader decodes a trace and dispatches the
-// records back through a Transport, reconstructing the heap as a shadow of
+// optionally compressed frames. A Reader decodes a trace and hands the
+// records back to a session, reconstructing the heap as a shadow of
 // interned entities, so the algorithmic profiler, CCT, and bbprof backends
 // run on a recorded stream and produce byte-identical reports to the live
 // run.

@@ -278,8 +278,8 @@ func (d *frameDecoder) release() {
 }
 
 // Replay decodes every data frame in order and hands each reconstructed
-// record to dispatch — typically a pipeline Transport's Dispatch method
-// with the offline backends attached. Every heap mutation is applied to
+// record to dispatch — typically the Record method of a replayed
+// thread's profiling session. Every heap mutation is applied to
 // the shadow heap before its record is dispatched, so a listener
 // processing record k observes exactly the heap state the live listener
 // saw at record k. As with a pipeline.RecordTap,

@@ -16,13 +16,17 @@ import (
 // recordAuditRun stores one fault-free run of src and returns its
 // directory.
 func recordAuditRun(t *testing.T, src string) string {
+	return recordAuditRunConfig(t, src, algoprof.Config{})
+}
+
+func recordAuditRunConfig(t *testing.T, src string, cfg algoprof.Config) string {
 	t.Helper()
 	dir := t.TempDir()
 	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Record("run", src, "audit-test", algoprof.Config{}, trace.WriterOptions{}); err != nil {
+	if _, err := s.Record("run", src, "audit-test", cfg, trace.WriterOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	return filepath.Join(dir, "run")
@@ -189,30 +193,34 @@ func TestAuditManifestRoot(t *testing.T) {
 }
 
 // TestAuditSwappedTrace: a run whose trace was recorded from another
-// program, one with more loops than the run's own, is a Corruption
-// finding of the verified replay instead of a crash of the audit.
+// program, one with more loops and methods than the run's own, is a
+// Corruption finding of the verified replay instead of a crash of the
+// audit, also when both are Backends runs, whose replay hands the donor's
+// instruction ticks and method ids to the comparison profilers.
 func TestAuditSwappedTrace(t *testing.T) {
-	donor := recordCleanRun(t)
-	runDir := recordAuditRun(t, `
+	for _, cfg := range []algoprof.Config{{}, {Backends: true}} {
+		donor := recordAuditRunConfig(t, workloads.RunningExample(workloads.Random, 48, 8, 1), cfg)
+		runDir := recordAuditRunConfig(t, `
 class Main {
   public static void main() {
     int s = 0;
     for (int i = 0; i < 8; i++) { s = s + i; }
     print(s);
   }
-}`)
-	data, err := os.ReadFile(filepath.Join(donor, TraceName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	overwrite(t, filepath.Join(runDir, TraceName), data)
-	fs := AuditRun(runDir)
-	for _, f := range fs {
-		if f.Class == faultinject.Corruption && strings.Contains(f.Msg, "verified replay failed") {
-			return
+}`, cfg)
+		data, err := os.ReadFile(filepath.Join(donor, TraceName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		overwrite(t, filepath.Join(runDir, TraceName), data)
+		fs, found := AuditRun(runDir), false
+		for _, f := range fs {
+			found = found || f.Class == faultinject.Corruption && strings.Contains(f.Msg, "verified replay failed")
+		}
+		if !found {
+			t.Errorf("Backends=%v: findings %v, want a Corruption finding of the verified replay", cfg.Backends, fs)
 		}
 	}
-	t.Fatalf("findings %v, want a Corruption finding of the verified replay", fs)
 }
 
 // TestAuditStoreFlagsGarbageEntries: stray files and manifest-less

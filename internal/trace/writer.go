@@ -8,7 +8,6 @@ import (
 	"io"
 	"sync"
 
-	"algoprof/internal/events"
 	"algoprof/internal/events/pipeline"
 )
 
@@ -27,15 +26,14 @@ type WriterOptions struct {
 	MaxBytes int64
 }
 
-// Writer streams pipeline records to a trace file. It implements both
-// events.Listener (as a no-op, so it can be added to a Transport) and
-// pipeline.RecordTap, which is how it actually receives the stream: every
-// record verbatim, including heap-journal records.
+// Writer streams pipeline records to a trace file. It is a
+// pipeline.RecordTap: it receives every record verbatim, including
+// heap-journal records.
 //
-// Writer methods are called from a consumer goroutine; errors are latched
-// and reported by Close, since the record callback cannot fail.
+// Writer methods are called from the recorded thread's goroutine; errors
+// are latched and reported by Close, since the record callback cannot
+// fail.
 type Writer struct {
-	events.NopListener
 	w    io.Writer
 	opts WriterOptions
 	err  error
@@ -345,4 +343,3 @@ func (tw *Writer) Close() error {
 }
 
 var _ pipeline.RecordTap = (*Writer)(nil)
-var _ events.Listener = (*Writer)(nil)

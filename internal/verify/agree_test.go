@@ -6,11 +6,25 @@ import (
 
 	"algoprof/internal/cct"
 	"algoprof/internal/core"
+	"algoprof/internal/events"
 	"algoprof/internal/events/pipeline"
 	"algoprof/internal/instrument"
 	"algoprof/internal/mj/compiler"
 	"algoprof/internal/vm"
 )
+
+// profileAndCheck hands each record to the profiler, filtered to its
+// plan, and then to the checker, as a verified run's session does.
+type profileAndCheck struct {
+	p    *core.Profiler
+	plan *events.Plan
+	c    *Checker
+}
+
+func (f profileAndCheck) Record(r *pipeline.Record) {
+	pipeline.Deliver(f.p, f.plan, r)
+	f.c.Record(r)
+}
 
 // streamAndTree profiles recursiveLoopSrc with a Checker tapping the
 // profiler's own stream, and returns both with the ids of the program's
@@ -26,10 +40,7 @@ func streamAndTree(t *testing.T) (c *Checker, p *core.Profiler, loopID, methodID
 		t.Fatal(err)
 	}
 	p, c = core.NewProfiler(ins, core.Options{}), NewChecker()
-	tp := pipeline.New()
-	tp.Add(p, ins.Plan)
-	tp.Add(c, nil)
-	pr := tp.Producer()
+	pr := pipeline.NewProducer(profileAndCheck{p, ins.Plan, c}, p)
 	machine := vm.New(ins.Prog, vm.Config{Listener: pr, Plan: ins.Plan, Journal: pr, Seed: 1})
 	pr.BindClock(&machine.InstrCount)
 	if err := machine.Run(); err != nil {

@@ -1,7 +1,7 @@
 // Package verify is the profiling pipeline's online invariant checker. A
-// Checker attaches to an events/pipeline Transport as one more consumer (a
-// raw record tap, so it observes every record the producer emitted —
-// including heap-journal records — unfiltered) and validates stream
+// Checker rides a profiled thread's session as a raw record tap, so it
+// observes every record the producer emitted — including heap-journal
+// records — unfiltered, and validates stream
 // well-formedness while the profiled program runs: balanced entry/exit
 // events, monotonic clocks, back edges and exits only for loops that are
 // open in the current frame, and journal consistency (no duplicate
@@ -24,7 +24,6 @@ package verify
 import (
 	"fmt"
 
-	"algoprof/internal/events"
 	"algoprof/internal/events/pipeline"
 	"algoprof/internal/faultinject"
 )
@@ -83,14 +82,11 @@ type vframe struct {
 	loops  []int
 }
 
-// Checker validates the event stream online. It implements
-// pipeline.RecordTap (the transport routes every raw record to it) and
-// events.Listener (as a no-op, so Transport.Add accepts it). Not
-// goroutine-safe; the transport delivers records inline on the producing
-// goroutine, matching every other consumer's contract.
+// Checker validates the event stream online. It is a pipeline.RecordTap:
+// the profiled thread's session hands it every raw record. Not
+// goroutine-safe; records arrive inline on the producing goroutine, as
+// they do for every other listener.
 type Checker struct {
-	events.NopListener
-
 	seq       int64
 	prevClock uint64
 
@@ -306,4 +302,3 @@ func (c *Checker) Err() error {
 }
 
 var _ pipeline.RecordTap = (*Checker)(nil)
-var _ events.Listener = (*Checker)(nil)

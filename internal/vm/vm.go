@@ -61,7 +61,7 @@ type Config struct {
 
 // ThreadSession is the per-thread profiling harness a spawned VM thread
 // runs under: its own listener (a per-thread profiler, or a per-thread
-// transport feeding one), journal and instruction hook.
+// event producer feeding one), journal and instruction hook.
 type ThreadSession struct {
 	// Listener receives the thread's profiling events.
 	Listener events.Listener

@@ -7,6 +7,7 @@ import (
 
 	"algoprof"
 	"algoprof/internal/events/pipeline"
+	"algoprof/internal/experiments"
 	"algoprof/internal/faultinject"
 	"algoprof/internal/mj/bytecode"
 	"algoprof/internal/trace"
@@ -102,16 +103,42 @@ func TestReplayHostileIDsBounded(t *testing.T) {
 	}
 }
 
-// TestReplayRefusesUnknownLoop: a trace that names a loop the program
-// lacks fails its replay as corruption instead of panicking at report
-// time, with or without the verifier.
+// strayTrace is a hand-made trace naming an id oneLoopSrc lacks. Only
+// the comparison profilers (Backends) read the ids of a backendsOnly one.
+type strayTrace struct {
+	name         string
+	data         []byte
+	backendsOnly bool
+}
+
+// strayTraces name a loop, a method's instruction tick, a pc past a
+// method's code, and a method's entry and exit, that prog lacks.
+func strayTraces(t testing.TB, prog *bytecode.Program) []strayTrace {
+	return []strayTrace{
+		{"loop 999", handTrace(t, pipeline.Record{Op: pipeline.OpLoopEntry, ID: 999}), false},
+		{"tick of method 999", handTrace(t, pipeline.Record{Op: pipeline.OpInstr, ID: 999}), true},
+		{"tick at pc 1<<20", handTrace(t, pipeline.Record{Op: pipeline.OpInstr, ID: int32(prog.MainID), Ent: 1 << 20}), true},
+		{"method 999", handTrace(t,
+			pipeline.Record{Op: pipeline.OpMethodEntry, ID: 999},
+			pipeline.Record{Op: pipeline.OpMethodExit, ID: 999}), true},
+	}
+}
+
+// TestReplayRefusesUnknownLoop: a trace that names a loop, method or pc
+// the program lacks fails its replay as corruption instead of panicking
+// at report time, with or without the verifier, and with the comparison
+// profilers where they would read the id.
 func TestReplayRefusesUnknownLoop(t *testing.T) {
 	prog := compile(t, oneLoopSrc)
-	data := handTrace(t, pipeline.Record{Op: pipeline.OpLoopEntry, ID: 999})
-	for _, verify := range []bool{false, true} {
-		_, err := replayBytes(prog, algoprof.Config{Verify: verify}, data)
-		if c := faultinject.ClassOf(err); c != faultinject.Corruption {
-			t.Fatalf("Verify=%v: err = %v (class %v), want corruption", verify, err, c)
+	for _, st := range strayTraces(t, prog) {
+		for _, cfg := range []algoprof.Config{{}, {Verify: true}, {Backends: true}, {Backends: true, Verify: true}} {
+			if st.backendsOnly && !cfg.Backends {
+				continue
+			}
+			_, err := replayBytes(prog, cfg, st.data)
+			if c := faultinject.ClassOf(err); c != faultinject.Corruption {
+				t.Errorf("%s, Backends=%v Verify=%v: err = %v (class %v), want corruption", st.name, cfg.Backends, cfg.Verify, err, c)
+			}
 		}
 	}
 }
@@ -120,21 +147,38 @@ func TestReplayRefusesUnknownLoop(t *testing.T) {
 // through the profiler: arbitrary bytes, decoded and replayed against one
 // fixed program with the verifier on, as the run audit replays, end in a
 // profile or a typed error — never a panic, and never tables sized by an
-// id's value.
+// id's value. Each input replays twice, the second time with the
+// comparison profilers too (as the audit replays a Backends run), and a
+// replayed profile's baselines render as the daemon and paper render them.
 func FuzzReplayProgram(f *testing.F) {
 	prog := compile(f, oneLoopSrc)
-	var rec bytes.Buffer
-	if _, err := algoprof.Record(oneLoopSrc, algoprof.Config{}, &rec, trace.WriterOptions{}); err != nil {
-		f.Fatal(err)
+	for _, cfg := range []algoprof.Config{{}, {Backends: true}} {
+		// Only a Backends recording carries instruction ticks.
+		var rec bytes.Buffer
+		if _, err := algoprof.Record(oneLoopSrc, cfg, &rec, trace.WriterOptions{}); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(rec.Bytes())
 	}
-	f.Add(rec.Bytes())
 	f.Add(handTrace(f, loopLoads(1, 1+1<<24)...))
 	f.Add(handTrace(f, loopLoads(spanIDs(10_000)...)...))
-	f.Add(handTrace(f, pipeline.Record{Op: pipeline.OpLoopEntry, ID: 999}))
+	for _, st := range strayTraces(f, prog) {
+		f.Add(st.data)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		_, err := replayBytes(prog, algoprof.Config{Verify: true}, data)
-		if err != nil && faultinject.ClassOf(err) == faultinject.Unknown {
-			t.Fatalf("untyped error: %v", err)
+		for _, cfg := range []algoprof.Config{{Verify: true}, {Verify: true, Backends: true}} {
+			p, err := replayBytes(prog, cfg, data)
+			if err != nil {
+				if faultinject.ClassOf(err) == faultinject.Unknown {
+					t.Fatalf("Backends=%v: untyped error: %v", cfg.Backends, err)
+				}
+				continue
+			}
+			experiments.BackendsFingerprint(p)
+			for _, b := range p.Baselines {
+				experiments.HottestExclusive(b)
+				experiments.TopBlock(b)
+			}
 		}
 	})
 }

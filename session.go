@@ -28,76 +28,125 @@ import (
 type ThreadTraceSink func(tid int) (io.WriteCloser, error)
 
 // session is one VM thread's profiling state: its own core profiler (its
-// own repetition tree and snapshot registry) and the transport that fans
-// the thread's stream out to the riders — the comparison profilers, the
-// trace writer and the verifier — when any rides along. Live runs build
-// one per thread as it starts; replay builds one per recorded trace. No
-// session is shared between threads.
+// own repetition tree and snapshot registry) and, when any ride along,
+// the riders it fans the thread's event stream out to — the comparison
+// profilers, the trace writer and the verifier. Live runs build one per
+// thread as it starts; replay builds one per recorded trace. No session
+// is shared between threads.
 type session struct {
 	tid  int // 0 for the main thread
 	prof *core.Profiler
-	tp   *pipeline.Transport
+	plan *events.Plan    // the profiler's plan, to which Record filters its stream
 	chk  *verify.Checker // non-nil when the run is verified
 	tw   *trace.Writer   // non-nil when the thread is recorded
 	// cct and bb are the comparison profilers, non-nil with
 	// Config.Backends; instrs is the thread's instruction count they
-	// report, set once the thread has ended.
+	// report, set once the thread has ended. clock is the clock of the
+	// record being delivered, the cost the CCT reads, and funcs the
+	// program's code, against which Record checks the ids it hands them.
 	cct    *cct.Profiler
 	bb     *bbprof.Profiler
 	instrs uint64
+	clock  uint64
+	funcs  []*bytecode.Function
 	// err is a failure outside the profiler (a thread's trace sink did not
 	// open), surfaced when the session finishes. The thread still
 	// profiles; only its trace is lost.
 	err error
+	// stray is the first record that named a method or pc the program
+	// lacks; the comparison profilers never saw it. Only a damaged or
+	// foreign trace carries one, and its replay fails with it.
+	stray error
 	// openOK excuses the unbalanced stream a truncated trace leaves;
 	// reasons are degraded-reasons appended after the profiler's own.
 	openOK  bool
 	reasons []string
 }
 
-// newSession builds a thread's session: the transport feeds the profiler
-// under the instrumentation plan; with cfg.Backends the CCT, timed by the
-// records' clocks, and — when ticks says the stream carries instruction
-// ticks, as recordings and replays do — the basic-block counter; then tw
-// when non-nil; then a verifier when cfg.Verify.
-func newSession(ins *instrument.Instrumented, cfg Config, tid int, tw *trace.Writer, ticks bool) *session {
-	s := &session{tid: tid, prof: core.NewProfiler(ins, coreOptions(cfg)), tp: pipeline.New(), tw: tw}
-	s.tp.Add(s.prof, ins.Plan)
+// newSession builds a thread's session: its profiler under the
+// instrumentation plan; with cfg.Backends the CCT and the basic-block
+// counter; tw when non-nil; and a verifier when cfg.Verify.
+func newSession(ins *instrument.Instrumented, cfg Config, tid int, tw *trace.Writer) *session {
+	s := &session{tid: tid, prof: core.NewProfiler(ins, coreOptions(cfg)), plan: ins.Plan, tw: tw}
 	if cfg.Backends {
-		var c *pipeline.Consumer
-		s.cct = cct.New(func() uint64 { return c.Clock() })
-		c = s.tp.Add(s.cct, nil)
+		s.cct = cct.New(func() uint64 { return s.clock })
 		s.bb = bbprof.New(ins.Prog)
-		if ticks {
-			s.tp.Add(pipeline.InstrTap{Fn: s.bb.Hook}, nil)
-		}
-	}
-	if tw != nil {
-		s.tp.Add(tw, nil)
+		s.funcs = ins.Prog.Funcs
 	}
 	if cfg.Verify {
 		s.chk = verify.NewChecker()
-		s.tp.Add(s.chk, nil)
 	}
 	return s
 }
 
+// Record implements pipeline.RecordTap: the session is its thread's
+// fan-out. Each record, whether the thread's producer published it live
+// or a trace reader replays it, reaches in turn the profiler (filtered to
+// its plan), the CCT (timed by the record's clock) or, for an instruction
+// tick, the block counter, then the trace writer and the verifier.
+func (s *session) Record(r *pipeline.Record) {
+	pipeline.Deliver(s.prof, s.plan, r)
+	if s.cct != nil {
+		s.backends(r)
+	}
+	if s.tw != nil {
+		s.tw.Record(r)
+	}
+	if s.chk != nil {
+		s.chk.Record(r)
+	}
+}
+
+// backends hands r to the comparison profilers: method entries and exits
+// to the CCT, timed by the record's clock, and instruction ticks to the
+// block counter. A record naming a method or pc the program lacks reaches
+// neither.
+func (s *session) backends(r *pipeline.Record) {
+	m := int(r.ID)
+	switch r.Op {
+	case pipeline.OpMethodEntry, pipeline.OpMethodExit:
+		if m < 0 || m >= len(s.funcs) {
+			s.strayf("trace names method %d of a program with %d methods", m, len(s.funcs))
+			return
+		}
+		s.clock = r.Clock
+		if r.Op == pipeline.OpMethodEntry {
+			s.cct.MethodEntry(m)
+		} else {
+			s.cct.MethodExit(m)
+		}
+	case pipeline.OpInstr:
+		if m < 0 || m >= len(s.funcs) || uint64(r.Ent) >= uint64(len(s.funcs[m].Code)) {
+			s.strayf("trace ticks method %d at pc %d, which the program lacks", m, r.Ent)
+			return
+		}
+		s.bb.Hook(m, int(r.Ent))
+	}
+}
+
+// strayf keeps the first record the comparison profilers were refused.
+func (s *session) strayf(format string, args ...any) {
+	if s.stray == nil {
+		s.stray = &trace.CorruptError{Off: -1, Msg: fmt.Sprintf(format, args...)}
+	}
+}
+
 // wire returns the VM hookup for the session's thread. With nothing
 // riding along the profiler itself is the listener, so plain runs keep
-// their transport-free hot path. Otherwise the transport's producer takes
-// the events, stamped with the thread's instruction counter, and — when
-// the verifier or the trace writer rides — the heap journal: the entity
-// births and element stores the verifier's shadow heap and replay need.
-// The comparison profilers make the VM emit under the union plan; the
-// block counter takes the instruction hook itself, the per-instruction
-// stream being far denser than the event stream, unless the trace must
-// carry the ticks.
+// their direct hot path. Otherwise a producer handing its records to the
+// session takes the events, stamped with the thread's instruction
+// counter, and — when the verifier or the trace writer rides — the heap
+// journal: the entity births and element stores the verifier's shadow
+// heap and replay need. The comparison profilers make the VM emit under
+// the union plan; the block counter takes the instruction hook itself,
+// the per-instruction stream being far denser than the event stream,
+// unless the trace must carry the ticks.
 func (s *session) wire(ins *instrument.Instrumented) *vm.ThreadSession {
 	ts := &vm.ThreadSession{Listener: s.prof, Plan: ins.Plan, NumSites: ins.NumSites()}
 	if s.chk == nil && s.tw == nil && s.cct == nil {
 		return ts
 	}
-	pr := s.tp.Producer()
+	pr := pipeline.NewProducer(s, s.prof)
 	ts.Listener, ts.BindClock = pr, pr.BindClock
 	if s.chk != nil || s.tw != nil {
 		ts.Journal = pr
@@ -113,8 +162,8 @@ func (s *session) wire(ins *instrument.Instrumented) *vm.ThreadSession {
 
 // unionPlan is the plan a Backends run executes under: every method's
 // entry and exit, which the CCT needs, plus everything the profiler's own
-// plan p enables, to which the transport filters the profiler's stream
-// back down.
+// plan p enables, to which Record filters the profiler's stream back
+// down.
 func unionPlan(p *events.Plan) *events.Plan {
 	u := events.NewEmptyPlan(len(p.MethodEntryExit), len(p.FieldAccess), len(p.AllocClass))
 	for m := range u.MethodEntryExit {
@@ -211,7 +260,7 @@ func (r *profileRun) spawn(tid int) *vm.ThreadSession {
 			tw = trace.NewWriter(wc, r.topts)
 		}
 	}
-	s := newSession(r.ins, r.cfg, tid, tw, tw != nil)
+	s := newSession(r.ins, r.cfg, tid, tw)
 	if sinkErr != nil {
 		// SpawnSession cannot fail the spawn: remember the error and
 		// surface it deterministically when the report is merged.
@@ -305,7 +354,7 @@ func live(ctx context.Context, prog *bytecode.Program, cfg Config, w io.Writer, 
 	if w != nil {
 		tw = trace.NewWriter(w, topts)
 	}
-	r.main = newSession(ins, cfg, 0, tw, tw != nil)
+	r.main = newSession(ins, cfg, 0, tw)
 	ts := r.main.wire(ins)
 	vmCfg := vm.Config{
 		Listener:  ts.Listener,
@@ -383,9 +432,12 @@ func replay(ctx context.Context, prog *bytecode.Program, cfg Config, r *trace.Re
 	}
 	var instrs uint64
 	open := func(tid int, tr *trace.Reader) (*session, error) {
-		s := newSession(ins, cfg, tid, nil, true)
-		if err := tr.ReplayContext(ctx, s.tp.Dispatch); err != nil {
+		s := newSession(ins, cfg, tid, nil)
+		if err := tr.ReplayContext(ctx, s.Record); err != nil {
 			return nil, err
+		}
+		if s.stray != nil {
+			return nil, s.stray
 		}
 		if err := checkLoops(s.prof.Root(), len(ins.Loops)); err != nil {
 			return nil, err

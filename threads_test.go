@@ -17,7 +17,7 @@ import (
 // TestThreadedRunTransportEquivalence is the threaded determinism gate: a
 // program that spawns VM threads must produce the byte-identical profile
 // whether the per-thread sessions are wired directly or through verified
-// per-thread transports — scheduling may vary, the report may not. Run
+// per-thread producers — scheduling may vary, the report may not. Run
 // under -race this also exercises ≥2 concurrent per-thread producers.
 func TestThreadedRunTransportEquivalence(t *testing.T) {
 	src := workloads.Threaded(2, 20)
