@@ -11,21 +11,30 @@ type tapFunc func(r *Record)
 
 func (f tapFunc) Record(r *Record) { f(r) }
 
-// TestProducerDeliversEveryRecordInOrder: the producer hands its tap every
-// record, in production order, before the producing call returns.
-func TestProducerDeliversEveryRecordInOrder(t *testing.T) {
-	var got []Record
-	pr := NewProducer(tapFunc(func(r *Record) { got = append(got, *r) }), nil)
-	const n = 10_000
-	for i := 0; i < n; i++ {
-		pr.Instr(i>>8, i&0xff)
-		if len(got) != i+1 {
-			t.Fatalf("record %d not delivered inline: the tap holds %d", i, len(got))
+// TestEveryConsumerSeesEveryRecordInOrder: a tap that fans each record out
+// to its consumers, as a thread's session does, gives every consumer every
+// record in production order.
+func TestEveryConsumerSeesEveryRecordInOrder(t *testing.T) {
+	for consumers := 1; consumers <= 4; consumers++ {
+		got := make([][]Record, consumers)
+		pr := NewProducer(tapFunc(func(r *Record) {
+			for ci := range got {
+				got[ci] = append(got[ci], *r)
+			}
+		}), nil)
+		const n = 10_000
+		for i := 0; i < n; i++ {
+			pr.Instr(i>>8, i&0xff)
 		}
-	}
-	for i, r := range got {
-		if r.Op != OpInstr || int(r.ID) != i>>8 || int(r.Ent) != i&0xff {
-			t.Fatalf("record %d = %+v, want tick %d:%d", i, r, i>>8, i&0xff)
+		for ci, rs := range got {
+			if len(rs) != n {
+				t.Fatalf("consumers=%d: consumer %d got %d records, want %d", consumers, ci, len(rs), n)
+			}
+			for i, r := range rs {
+				if r.Op != OpInstr || int(r.ID) != i>>8 || int(r.Ent) != i&0xff {
+					t.Fatalf("consumer %d: record %d = %+v, want tick %d:%d", ci, i, r, i>>8, i&0xff)
+				}
+			}
 		}
 	}
 }
@@ -35,6 +44,38 @@ type nopPathListener struct{ events.NopListener }
 
 func (nopPathListener) SiteTouch(int, events.Entity) bool { return false }
 func (nopPathListener) LoopPathCount(_, _ int, _ int64)   {}
+
+// loopCounter counts loop events.
+type loopCounter struct {
+	nopPathListener
+	entries, backs, exits int
+}
+
+func (l *loopCounter) LoopEntry(int) { l.entries++ }
+func (l *loopCounter) LoopBack(int)  { l.backs++ }
+func (l *loopCounter) LoopExit(int)  { l.exits++ }
+
+// TestSynchronousModeDispatchesInline: every listener the tap delivers to
+// has seen an event by the time the producing call returns.
+func TestSynchronousModeDispatchesInline(t *testing.T) {
+	a, b := &loopCounter{}, &loopCounter{}
+	plan := events.NewEmptyPlan(0, 0, 0)
+	pr := NewProducer(tapFunc(func(r *Record) {
+		Deliver(a, plan, r)
+		Deliver(b, plan, r)
+	}), nil)
+	pr.LoopEntry(1)
+	pr.LoopBack(1)
+	if a.backs != 1 || b.backs != 1 {
+		t.Fatalf("dispatch not inline: a=%d b=%d", a.backs, b.backs)
+	}
+	pr.LoopExit(1)
+	for _, l := range []*loopCounter{a, b} {
+		if l.entries != 1 || l.backs != 1 || l.exits != 1 {
+			t.Fatalf("counts = %d/%d/%d, want 1/1/1", l.entries, l.backs, l.exits)
+		}
+	}
+}
 
 // planRecorder notes what Deliver passed it.
 type planRecorder struct {
